@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the packed GEMM microkernel family at
 //! the DPRR shapes (`n ≈ 100` samples, `p = 931` features, `q = 10`
-//! classes) plus the blocked Cholesky refactor step. The before/after
+//! classes) plus the blocked Cholesky refactor step and the `O(n²)`
+//! Cholesky kernels of an online warm refit. The before/after
 //! record against the frozen scalar kernels lives in the `gemm` *binary*;
 //! these track the absolute per-call costs over time (CI uploads the
 //! `CRITERION_JSON` summary with mean/median/stddev per bench).
@@ -62,5 +63,53 @@ fn bench_cholesky(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_products, bench_cholesky);
+/// The O(n²) kernels of an online warm refit at p = 462 (the augmented
+/// system is n = 463): the ‖S‖₁ recompute, the rcond vet, one solve pair,
+/// the multi-RHS solve at q ∈ {3, 13, 20}, and the rank-1 absorb.
+fn bench_cholesky_kernels(c: &mut Criterion) {
+    let n = 463;
+    let m = sin_matrix(n, n, 0.17);
+    let mut a = m.gram();
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
+    let mut chol = Cholesky::factor(&a).expect("spd");
+    let anorm = a.norm_1();
+    let mut work = Vec::new();
+    let rhs_vec: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut v = rhs_vec.clone();
+    let mut out = Matrix::zeros(0, 0);
+
+    let mut group = c.benchmark_group("cholesky_refit_463");
+    group.bench_function("norm_1", |b| b.iter(|| a.norm_1()));
+    group.bench_function("rcond_1_est", |b| {
+        b.iter(|| chol.rcond_1_est(anorm, &mut work))
+    });
+    // Re-seeded per call: repeated in-place solves would decay the vector
+    // into subnormals.
+    group.bench_function("solve_pair", |b| {
+        b.iter(|| {
+            v.copy_from_slice(&rhs_vec);
+            chol.solve_vec_in_place(&mut v).expect("len")
+        })
+    });
+    for q in [3usize, 13, 20] {
+        let rhs = sin_matrix(n, q, 0.29);
+        group.bench_function(format!("solve_into_q{q}"), |b| {
+            b.iter(|| chol.solve_into(&rhs, &mut out).expect("shapes"))
+        });
+    }
+    let x: Vec<f64> = (0..n).map(|i| 1e-3 * (i as f64 * 0.53).cos()).collect();
+    group.bench_function("rank1_update", |b| {
+        b.iter(|| chol.rank1_update(&x, &mut work).expect("finite"))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_products,
+    bench_cholesky,
+    bench_cholesky_kernels
+);
 criterion_main!(benches);

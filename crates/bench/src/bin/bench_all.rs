@@ -20,7 +20,7 @@
 //! `--quick` shrinks every sibling's workload for smoke runs; `--skip`
 //! drops named siblings (their section records `null`).
 
-use dfr_bench::{apply_threads, json_object, json_str, Args, Json};
+use dfr_bench::{apply_threads, git_rev, json_object, json_str, Args, Json};
 use std::process::Command;
 
 /// One sibling benchmark: binary name, results file it writes, and its
@@ -113,18 +113,6 @@ fn read_fragment(name: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     Json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
     Ok(text.trim().to_string())
-}
-
-/// Current git revision, or `"unknown"` outside a checkout.
-fn git_rev() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {

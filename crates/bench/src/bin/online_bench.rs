@@ -28,8 +28,8 @@
 //! numbers rather than asserted away.
 
 use dfr_bench::{
-    apply_threads, json_array, json_f64, json_object, json_str, row, sample_stats, write_results,
-    Args,
+    apply_threads, git_rev, json_array, json_f64, json_object, json_str, row, sample_stats,
+    write_results, Args,
 };
 use dfr_core::online::OnlineRidge;
 use dfr_core::streaming::{StreamingCache, StreamingForward};
@@ -38,7 +38,6 @@ use dfr_data::rng::{randn, seeded_rng};
 use dfr_data::{drifting_stream, DatasetSpec, DriftKind};
 use dfr_linalg::ridge::{augment_ones, RidgeMode, RidgePlan};
 use dfr_linalg::Matrix;
-use std::process::Command;
 use std::time::Instant;
 
 fn time_samples<R>(repeat: usize, mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
@@ -50,19 +49,6 @@ fn time_samples<R>(repeat: usize, mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
         samples.push(t0.elapsed().as_secs_f64());
     }
     (samples, result)
-}
-
-/// Current git revision, or `"unknown"` outside a checkout — provenance
-/// for the committed record.
-fn git_rev() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// A seeded Gaussian feature vector, the synthetic stand-in for one DPRR

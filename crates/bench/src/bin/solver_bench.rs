@@ -27,8 +27,8 @@
 //! how many escalate with it, and that the escalated fit is finite.
 
 use dfr_bench::{
-    apply_threads, json_array, json_f64, json_object, json_str, row, sample_stats, write_results,
-    Args,
+    apply_threads, git_rev, json_array, json_f64, json_object, json_str, row, sample_stats,
+    write_results, Args,
 };
 use dfr_core::readout::{fit_readout_with, ReadoutScratch, PAPER_BETAS};
 use dfr_core::trainer::features_for;
@@ -197,6 +197,7 @@ fn main() {
             ("repeat", repeat.to_string()),
             ("threads", threads.to_string()),
             ("available_cores", cores.to_string()),
+            ("git_rev", json_str(&git_rev())),
             (
                 "methodology",
                 json_str(

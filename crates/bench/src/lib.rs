@@ -114,6 +114,19 @@ pub fn apply_threads(args: &Args) -> usize {
     dfr_pool::max_threads()
 }
 
+/// Current git revision, or `"unknown"` outside a checkout — provenance
+/// for committed records.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Renders one JSON object from keys and pre-rendered JSON value fragments
 /// (use [`json_str`] / [`json_f64`] to render the values).
 pub fn json_object(fields: &[(&str, String)]) -> String {

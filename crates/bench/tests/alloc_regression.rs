@@ -458,3 +458,37 @@ fn solver_escalation_is_allocation_free_after_warmup() {
         );
     });
 }
+
+/// Failed rank-1 up/downdates restore the factor from per-row snapshot
+/// copies; after warm-up the failure paths (overflow on either path,
+/// indefiniteness on the downdate) are as allocation-free as successes.
+#[test]
+fn rank1_failure_paths_are_allocation_free_after_warmup() {
+    use dfr_linalg::cholesky::Cholesky;
+
+    let n = 40;
+    let mut chol = Cholesky::scaled_identity(n, 4.0).expect("seed");
+    let mut work = Vec::new();
+    let x: Vec<f64> = (0..n).map(|i| 0.1 * ((i as f64) * 0.37).sin()).collect();
+    let mut overflow = x.clone();
+    overflow[n / 2] = f64::MAX.sqrt() * 2.0;
+    let mut indefinite = x.clone();
+    indefinite[n - 1] = 10.0;
+    let step = |chol: &mut Cholesky, work: &mut Vec<f64>| {
+        chol.rank1_update(&x, work).expect("update");
+        assert!(chol.rank1_update(&overflow, work).is_err());
+        assert!(chol.rank1_downdate(&overflow, work).is_err());
+        assert!(chol.rank1_downdate(&indefinite, work).is_err());
+        chol.rank1_downdate(&x, work).expect("downdate");
+    };
+    step(&mut chol, &mut work); // warm-up: work vector and snapshot storage
+    let (allocs, ()) = count_allocs(|| {
+        for _ in 0..20 {
+            step(&mut chol, &mut work);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "post-warm-up rank-1 failure paths must not allocate ({allocs} allocations)"
+    );
+}

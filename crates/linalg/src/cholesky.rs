@@ -17,7 +17,18 @@ use crate::{LinalgError, Matrix};
 /// the unblocked left-looking loop.
 const NB: usize = 32;
 
+/// Right-hand-side columns [`Cholesky::solve_into`] substitutes together.
+const SOLVE_BLOCK: usize = 8;
+
 /// The lower-triangular Cholesky factor `L` of an SPD matrix `A = L·Lᵀ`.
+///
+/// The factor is stored transposed, as the row-major upper triangle
+/// `U = Lᵀ`: row `k` of `U` is column `k` of `L`, so forward substitution
+/// (column axpys), back substitution (row dots) and the rank-1 rotations
+/// (one column of `L` per step) all walk memory at unit stride. Every
+/// element keeps the operation order of the row-major-`L` loops (terms
+/// subtracted one at a time in ascending `k`, then the divide), so the
+/// layout changes no bit of any factor, solve or rcond estimate.
 ///
 /// # Example
 ///
@@ -36,23 +47,24 @@ const NB: usize = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    /// Lower-triangular factor, stored as a full matrix with the strict
-    /// upper triangle zeroed.
-    l: Matrix,
+    /// The factor as `U = Lᵀ`: a full row-major matrix with the strict
+    /// lower triangle zeroed.
+    u: Matrix,
     /// Packing scratch for the blocked trailing update, recycled across
     /// refactorisations (the β-sweep refactors once per candidate).
     ws: GemmWorkspace,
-    /// Pre-mutation snapshot of `l` taken by the rank-1 up/downdates so a
-    /// mid-recurrence failure (induced indefiniteness, overflow) can
-    /// restore the factor instead of leaving it half-rotated. Same `O(n²)`
-    /// cost order as the recurrence itself; storage recycled across calls.
+    /// Pre-rotation copies of the rows of `u` a rank-1 up/downdate has
+    /// reached so far (row `k` is copied just before step `k` may write
+    /// it), so a mid-recurrence failure (induced indefiniteness, overflow)
+    /// restores the factor instead of leaving it half-rotated. Storage
+    /// recycled across calls.
     snap: Matrix,
 }
 
 /// Equality is the factor itself; packing scratch carries no identity.
 impl PartialEq for Cholesky {
     fn eq(&self, other: &Self) -> bool {
-        self.l == other.l
+        self.u == other.u
     }
 }
 
@@ -79,7 +91,7 @@ impl Cholesky {
     /// error for any non-empty right-hand side.
     pub fn empty() -> Self {
         Cholesky {
-            l: Matrix::zeros(0, 0),
+            u: Matrix::zeros(0, 0),
             ws: GemmWorkspace::new(),
             snap: Matrix::zeros(0, 0),
         }
@@ -120,11 +132,11 @@ impl Cholesky {
         if diag <= 0.0 {
             return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
         }
-        out.l.resize(n, n);
-        out.l.fill_zero();
+        out.u.resize(n, n);
+        out.u.fill_zero();
         let d = diag.sqrt();
         for i in 0..n {
-            out.l[(i, i)] = d;
+            out.u[(i, i)] = d;
         }
         Ok(())
     }
@@ -140,7 +152,8 @@ impl Cholesky {
     /// `l[i][k]·l[j][k]` term is subtracted — per element every term is
     /// still subtracted one at a time in ascending `k`, so the factor (and
     /// the index of the first failing pivot) is bitwise identical to the
-    /// unblocked left-looking loop.
+    /// unblocked left-looking loop. The loop works on `L` row-major; one
+    /// in-place transpose at the end hands over the stored `U = Lᵀ`.
     ///
     /// On error `out` is left in an unspecified (but safe) state; callers
     /// must not solve with it until a later `factor_into` succeeds.
@@ -160,14 +173,14 @@ impl Cholesky {
         if n == 0 {
             return Err(LinalgError::Empty { op: "cholesky" });
         }
-        out.l.resize(n, n);
-        out.l.fill_zero();
+        out.u.resize(n, n);
+        out.u.fill_zero();
         // One kernel resolution covers every trailing update of this
         // factorisation (the §13 product-entry convention).
         let kernel = kernels::active();
-        let l = &mut out.l;
+        let l = &mut out.u;
         // Seed the working lower triangle from `a` (only the lower triangle
-        // is read; the strict upper stays zero, as `factor_l` promises).
+        // is read; the strict upper stays zero until the final transpose).
         for i in 0..n {
             l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
         }
@@ -200,17 +213,19 @@ impl Cholesky {
             }
             kb = ke;
         }
+        transpose_in_place(l);
         Ok(())
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.u.rows()
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor_l(&self) -> &Matrix {
-        &self.l
+    /// The stored factor `U = Lᵀ` (upper triangular, strict lower triangle
+    /// zero), so `A = Uᵀ·U`.
+    pub fn factor_u(&self) -> &Matrix {
+        &self.u
     }
 
     /// Solves `A x = b` for a single right-hand side vector.
@@ -239,20 +254,7 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
-        // Forward substitution: L y = b.
-        for i in 0..n {
-            for k in 0..i {
-                b[i] -= self.l[(i, k)] * b[k];
-            }
-            b[i] /= self.l[(i, i)];
-        }
-        // Back substitution: Lᵀ x = y.
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                b[i] -= self.l[(k, i)] * b[k];
-            }
-            b[i] /= self.l[(i, i)];
-        }
+        self.solve_block::<1>(b, 1, 0);
         Ok(())
     }
 
@@ -270,10 +272,11 @@ impl Cholesky {
     /// [`Cholesky::solve`] writing into a caller-owned output matrix
     /// (resized to `b.shape()`, allocation reused).
     ///
-    /// All right-hand-side columns are substituted together, row-wise:
-    /// per element the subtraction order over `k` is identical to the
-    /// column-by-column [`Cholesky::solve_vec`] loop, so results are
-    /// bitwise unchanged while the traversal becomes cache-friendly and
+    /// Right-hand-side columns are substituted [`SOLVE_BLOCK`] at a time,
+    /// each block's lanes held in registers while the rows of `U` stream
+    /// past: per element the subtraction order over `k` is identical to
+    /// the column-by-column [`Cholesky::solve_vec`] loop, so results are
+    /// bitwise unchanged while the traversal stays unit-stride and
     /// scratch-free.
     ///
     /// # Errors
@@ -290,37 +293,63 @@ impl Cholesky {
         }
         out.copy_from(b);
         let q = out.cols();
-        // Forward substitution on whole rows: y_i -= L[i][k] · y_k (k < i).
-        for i in 0..n {
-            for k in 0..i {
-                let lik = self.l[(i, k)];
-                let (done, rest) = out.as_mut_slice().split_at_mut(i * q);
-                let yk = &done[k * q..(k + 1) * q];
-                for (yi, &v) in rest[..q].iter_mut().zip(yk) {
-                    *yi -= lik * v;
-                }
+        let y = out.as_mut_slice();
+        let mut c0 = 0;
+        while c0 < q {
+            let w = (q - c0).min(SOLVE_BLOCK);
+            match w {
+                1 => self.solve_block::<1>(y, q, c0),
+                2 => self.solve_block::<2>(y, q, c0),
+                3 => self.solve_block::<3>(y, q, c0),
+                4 => self.solve_block::<4>(y, q, c0),
+                5 => self.solve_block::<5>(y, q, c0),
+                6 => self.solve_block::<6>(y, q, c0),
+                7 => self.solve_block::<7>(y, q, c0),
+                _ => self.solve_block::<SOLVE_BLOCK>(y, q, c0),
             }
-            let lii = self.l[(i, i)];
-            for yi in out.row_mut(i) {
-                *yi /= lii;
-            }
-        }
-        // Back substitution: x_i -= L[k][i] · x_k (k > i).
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                let lki = self.l[(k, i)];
-                let (head, tail) = out.as_mut_slice().split_at_mut(k * q);
-                let xk = &tail[..q];
-                for (xi, &v) in head[i * q..(i + 1) * q].iter_mut().zip(xk) {
-                    *xi -= lki * v;
-                }
-            }
-            let lii = self.l[(i, i)];
-            for xi in out.row_mut(i) {
-                *xi /= lii;
-            }
+            c0 += w;
         }
         Ok(())
+    }
+
+    /// Solves columns `c0..c0 + W` of the row-major `n × q` right-hand
+    /// side `y` in place, the `W` lanes held in registers.
+    fn solve_block<const W: usize>(&self, y: &mut [f64], q: usize, c0: usize) {
+        let n = self.dim();
+        // Forward substitution L y = b as column axpys: once y_k is final,
+        // y_i -= L[i][k] · y_k for every i > k (row k of U is column k of
+        // L). Each y_i still sees its terms in ascending k, then its divide.
+        for k in 0..n {
+            let row = self.u.row(k);
+            let (done, rest) = y.split_at_mut((k + 1) * q);
+            let mut yk = [0.0; W];
+            for (v, lane) in done[k * q + c0..][..W].iter_mut().zip(&mut yk) {
+                *v /= row[k];
+                *lane = *v;
+            }
+            for (yi, &lik) in rest.chunks_exact_mut(q).zip(&row[k + 1..]) {
+                for (a, &v) in yi[c0..c0 + W].iter_mut().zip(&yk) {
+                    *a -= lik * v;
+                }
+            }
+        }
+        // Back substitution Lᵀ x = y as row dots of U: x_i -= U[i][k] · x_k
+        // for k > i, accumulated in registers.
+        for i in (0..n).rev() {
+            let row = self.u.row(i);
+            let (head, done) = y.split_at_mut((i + 1) * q);
+            let xi = &mut head[i * q + c0..][..W];
+            let mut acc = [0.0; W];
+            acc.copy_from_slice(xi);
+            for (xk, &uik) in done.chunks_exact(q).zip(&row[i + 1..]) {
+                for (a, &v) in acc.iter_mut().zip(&xk[c0..c0 + W]) {
+                    *a -= uik * v;
+                }
+            }
+            for (x, a) in xi.iter_mut().zip(acc) {
+                *x = a / row[i];
+            }
+        }
     }
 
     /// Validates a rank-1 vector against this factor and copies it into
@@ -348,11 +377,25 @@ impl Cholesky {
         }
         work.clear();
         work.extend_from_slice(x);
-        // Snapshot before the first rotation touches `l`: any failure path
-        // below restores from here, so callers never observe a factor with
-        // some columns rotated and the rest stale.
-        self.snap.copy_from(&self.l);
+        // Rows are copied into the snapshot one at a time, just before
+        // each rotation step (see `snapshot_row`).
+        self.snap.resize(n, n);
         Ok(())
+    }
+
+    /// Copies row `k` of `U` (its nonzero part, columns `k..n`) into the
+    /// snapshot before rotation step `k` may write it.
+    fn snapshot_row(&mut self, k: usize) {
+        self.snap.row_mut(k)[k..].copy_from_slice(&self.u.row(k)[k..]);
+    }
+
+    /// Restores rows `0..=k` of `U` from the snapshot: the rows a failed
+    /// rotation at step `k` may have touched. Rows past `k` were never
+    /// written, so the factor is again exactly the pre-call one.
+    fn restore_rows(&mut self, k: usize) {
+        for j in 0..=k {
+            self.u.row_mut(j)[j..].copy_from_slice(&self.snap.row(j)[j..]);
+        }
     }
 
     /// Replaces this factor of `A` with the factor of `A + x·xᵀ` in
@@ -382,20 +425,22 @@ impl Cholesky {
         self.rank1_prologue(x, work, "rank1_update")?;
         let n = self.dim();
         for k in 0..n {
-            let lkk = self.l[(k, k)];
+            self.snapshot_row(k);
+            let row = &mut self.u.row_mut(k)[k..];
+            let lkk = row[0];
             let wk = work[k];
             let r = (lkk * lkk + wk * wk).sqrt();
             if !r.is_finite() {
-                self.l.copy_from(&self.snap);
+                self.restore_rows(k);
                 return Err(LinalgError::NonFinite { op: "rank1_update" });
             }
             let c = r / lkk;
             let s = wk / lkk;
-            self.l[(k, k)] = r;
-            for (i, wi) in work.iter_mut().enumerate().skip(k + 1) {
-                let lik = (self.l[(i, k)] + s * *wi) / c;
-                self.l[(i, k)] = lik;
-                *wi = c * *wi - s * lik;
+            row[0] = r;
+            for (lik, wi) in row[1..].iter_mut().zip(&mut work[k + 1..]) {
+                let v = (*lik + s * *wi) / c;
+                *lik = v;
+                *wi = c * *wi - s * v;
             }
         }
         Ok(())
@@ -424,27 +469,29 @@ impl Cholesky {
         self.rank1_prologue(x, work, "rank1_downdate")?;
         let n = self.dim();
         for k in 0..n {
-            let lkk = self.l[(k, k)];
+            self.snapshot_row(k);
+            let row = &mut self.u.row_mut(k)[k..];
+            let lkk = row[0];
             let wk = work[k];
             let r2 = (lkk - wk) * (lkk + wk);
             if !r2.is_finite() {
-                self.l.copy_from(&self.snap);
+                self.restore_rows(k);
                 return Err(LinalgError::NonFinite {
                     op: "rank1_downdate",
                 });
             }
             if r2 <= 0.0 {
-                self.l.copy_from(&self.snap);
+                self.restore_rows(k);
                 return Err(LinalgError::NotPositiveDefinite { pivot: k });
             }
             let r = r2.sqrt();
             let c = r / lkk;
             let s = wk / lkk;
-            self.l[(k, k)] = r;
-            for (i, wi) in work.iter_mut().enumerate().skip(k + 1) {
-                let lik = (self.l[(i, k)] - s * *wi) / c;
-                self.l[(i, k)] = lik;
-                *wi = c * *wi - s * lik;
+            row[0] = r;
+            for (lik, wi) in row[1..].iter_mut().zip(&mut work[k + 1..]) {
+                let v = (*lik - s * *wi) / c;
+                *lik = v;
+                *wi = c * *wi - s * v;
             }
         }
         Ok(())
@@ -470,7 +517,7 @@ impl Cholesky {
             return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
         }
         let s = factor.sqrt();
-        for v in self.l.as_mut_slice() {
+        for v in self.u.as_mut_slice() {
             *v *= s;
         }
         Ok(())
@@ -478,7 +525,7 @@ impl Cholesky {
 
     /// Log-determinant of the original matrix, `log det A = 2 Σ log L[i][i]`.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        (0..self.dim()).map(|i| self.u[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
     /// Cheap 1-norm reciprocal-condition estimate `1 / (‖A‖₁·est‖A⁻¹‖₁)`
@@ -578,6 +625,18 @@ impl Default for Cholesky {
     }
 }
 
+/// Transposes a square matrix in place (`L` → `U = Lᵀ` after factoring).
+fn transpose_in_place(m: &mut Matrix) {
+    let n = m.rows();
+    let data = m.as_mut_slice();
+    for i in 1..n {
+        let (above, below) = data.split_at_mut(i * n);
+        for (j, v) in below[..i].iter_mut().enumerate() {
+            std::mem::swap(v, &mut above[j * n + i]);
+        }
+    }
+}
+
 /// The right-looking trailing update after factoring panel `[kb, ke)`:
 /// `T[i][j] -= Σ_{k ∈ [kb, ke)} L[i][k]·L[j][k]` for the lower triangle
 /// `ke ≤ j ≤ i < n`, tiled through the subtractive microkernel. Each tile
@@ -659,7 +718,7 @@ mod tests {
     fn factor_reconstructs() {
         let a = spd3();
         let c = Cholesky::factor(&a).unwrap();
-        let rec = c.factor_l().matmul_t(c.factor_l()).unwrap();
+        let rec = c.factor_u().t_matmul(c.factor_u()).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!((rec[(i, j)] - a[(i, j)]).abs() < 1e-12);
@@ -778,9 +837,9 @@ mod tests {
         assert_eq!(Cholesky::empty().rcond_1_est(1.0, &mut work), 0.0);
     }
 
-    /// `L` of the factor reconstructed as `L·Lᵀ`, for tolerance checks.
+    /// The factored matrix reconstructed as `Uᵀ·U`, for tolerance checks.
     fn reconstruct(c: &Cholesky) -> Matrix {
-        c.factor_l().matmul_t(c.factor_l()).unwrap()
+        c.factor_u().t_matmul(c.factor_u()).unwrap()
     }
 
     #[test]
@@ -811,7 +870,7 @@ mod tests {
         let fresh = Cholesky::factor(&axx).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert!((c.factor_l()[(i, j)] - fresh.factor_l()[(i, j)]).abs() < 1e-12);
+                assert!((c.factor_u()[(i, j)] - fresh.factor_u()[(i, j)]).abs() < 1e-12);
             }
         }
     }
@@ -827,7 +886,7 @@ mod tests {
         c.rank1_downdate(&x, &mut work).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert!((c.factor_l()[(i, j)] - before.factor_l()[(i, j)]).abs() < 1e-10);
+                assert!((c.factor_u()[(i, j)] - before.factor_u()[(i, j)]).abs() < 1e-10);
             }
         }
         // And the opposite order: downdate a vector A dominates, re-update.
@@ -837,7 +896,7 @@ mod tests {
         c.rank1_update(&y, &mut work).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert!((c.factor_l()[(i, j)] - before.factor_l()[(i, j)]).abs() < 1e-10);
+                assert!((c.factor_u()[(i, j)] - before.factor_u()[(i, j)]).abs() < 1e-10);
             }
         }
     }
@@ -910,7 +969,7 @@ mod tests {
         let fresh = Cholesky::factor(&sa).unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert!((c.factor_l()[(i, j)] - fresh.factor_l()[(i, j)]).abs() < 1e-12);
+                assert!((c.factor_u()[(i, j)] - fresh.factor_u()[(i, j)]).abs() < 1e-12);
             }
         }
         let before = c.clone();
@@ -931,7 +990,7 @@ mod tests {
         for i in 0..3 {
             for j in 0..3 {
                 let want = if i == j { 2.0 } else { 0.0 };
-                assert_eq!(c.factor_l()[(i, j)], want);
+                assert_eq!(c.factor_u()[(i, j)], want);
             }
         }
         // Bitwise equal to factoring diag(4) directly.

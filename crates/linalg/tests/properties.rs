@@ -183,8 +183,8 @@ fn cholesky_bit_identical_across_all_kernels() {
         for kernel in available().into_iter().filter(|k| k.is_strict()) {
             let got = with_kernel(kernel.kind(), || Cholesky::factor(&a).unwrap());
             assert_bits_eq(
-                got.factor_l(),
-                reference.factor_l(),
+                got.factor_u(),
+                reference.factor_u(),
                 &format!("{} cholesky n={n}", kernel.name()),
             );
         }
@@ -271,7 +271,7 @@ proptest! {
         let mut a = m.matmul_t(&m).unwrap();
         for i in 0..4 { a[(i, i)] += 1.0; }
         let c = Cholesky::factor(&a).unwrap();
-        let rec = c.factor_l().matmul_t(c.factor_l()).unwrap();
+        let rec = c.factor_u().t_matmul(c.factor_u()).unwrap();
         for (x, y) in rec.as_slice().iter().zip(a.as_slice()) {
             prop_assert!((x - y).abs() < 1e-8, "{x} vs {y}");
         }
@@ -412,7 +412,7 @@ proptest! {
             }
             let want = reference_factor(&a).expect("SPD by construction");
             let got = Cholesky::factor(&a).unwrap();
-            assert_bits_eq(got.factor_l(), &want, "cholesky factor");
+            assert_bits_eq(got.factor_u(), &want.transpose(), "cholesky factor");
         }
     }
 
@@ -567,5 +567,282 @@ proptest! {
         let report = plan.last_report();
         prop_assert!(!report.is_ok(), "{report:?}");
         prop_assert!(report.used.is_none(), "{report:?}");
+    }
+}
+
+// ---- Factor-layout differential suite ------------------------------------
+//
+// `Cholesky` stores `U = Lᵀ` so its O(n²) kernels walk unit stride. The
+// loops below are the row-major-`L` kernels that layout replaced, kept as
+// references: every kernel must agree with them bit for bit, at sizes
+// spanning the factorisation's NB = 32 panel boundary up to a p = 462
+// online system (n = 463).
+
+const LAYOUT_NS: [usize; 8] = [1, 2, 31, 32, 33, 70, 101, 463];
+
+/// A dense SPD test system `M·Mᵀ + n·I`.
+fn spd(n: usize, seed: f64) -> Matrix {
+    let m = filled(n, n, seed);
+    let mut a = m.matmul_t(&m).unwrap();
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
+    a
+}
+
+/// Forward then back substitution on a row-major `L`, one vector.
+fn reference_solve_vec(l: &Matrix, b: &mut [f64]) {
+    let n = l.rows();
+    for i in 0..n {
+        for k in 0..i {
+            b[i] -= l[(i, k)] * b[k];
+        }
+        b[i] /= l[(i, i)];
+    }
+    for i in (0..n).rev() {
+        for k in i + 1..n {
+            b[i] -= l[(k, i)] * b[k];
+        }
+        b[i] /= l[(i, i)];
+    }
+}
+
+/// The multi-right-hand-side solve on a row-major `L`, rows together.
+fn reference_solve(l: &Matrix, b: &Matrix) -> Matrix {
+    let (n, q) = b.shape();
+    let mut x = b.clone();
+    for i in 0..n {
+        for k in 0..i {
+            for c in 0..q {
+                x[(i, c)] -= l[(i, k)] * x[(k, c)];
+            }
+        }
+        for c in 0..q {
+            x[(i, c)] /= l[(i, i)];
+        }
+    }
+    for i in (0..n).rev() {
+        for k in i + 1..n {
+            for c in 0..q {
+                x[(i, c)] -= l[(k, i)] * x[(k, c)];
+            }
+        }
+        for c in 0..q {
+            x[(i, c)] /= l[(i, i)];
+        }
+    }
+    x
+}
+
+/// The Hager/xLACON estimate of `Cholesky::rcond_1_est` over
+/// [`reference_solve_vec`].
+fn reference_rcond(l: &Matrix, anorm: f64) -> f64 {
+    let n = l.rows();
+    let mut work = vec![1.0 / n as f64; n];
+    let mut est = 0.0f64;
+    let mut last_unit = usize::MAX;
+    for _ in 0..5 {
+        reference_solve_vec(l, &mut work);
+        let norm: f64 = work.iter().map(|v| v.abs()).sum();
+        if norm <= est {
+            break;
+        }
+        est = norm;
+        for v in work.iter_mut() {
+            *v = if *v >= 0.0 { 1.0 } else { -1.0 };
+        }
+        reference_solve_vec(l, &mut work);
+        let mut j = 0;
+        let mut best = -1.0;
+        for (i, v) in work.iter().enumerate() {
+            if v.abs() > best {
+                best = v.abs();
+                j = i;
+            }
+        }
+        if j == last_unit {
+            break;
+        }
+        last_unit = j;
+        work.fill(0.0);
+        work[j] = 1.0;
+    }
+    let denom = n.max(2) as f64 - 1.0;
+    for (i, v) in work.iter_mut().enumerate() {
+        let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+        *v = sign * (1.0 + i as f64 / denom);
+    }
+    reference_solve_vec(l, &mut work);
+    let probe: f64 = work.iter().map(|v| v.abs()).sum();
+    est = est.max(2.0 * probe / (3.0 * n as f64));
+    (1.0 / (anorm * est)).min(1.0)
+}
+
+/// The rank-1 up/downdate recurrence on a row-major `L` (columns of `L`
+/// at stride n). `Err(k)` names the column whose rotation failed; `l` is
+/// then left half-rotated (the reference keeps no snapshot).
+fn reference_rank1(l: &mut Matrix, x: &[f64], downdate: bool) -> Result<(), usize> {
+    let n = l.rows();
+    let mut w = x.to_vec();
+    for k in 0..n {
+        let lkk = l[(k, k)];
+        let wk = w[k];
+        let r = if downdate {
+            let r2 = (lkk - wk) * (lkk + wk);
+            if !r2.is_finite() || r2 <= 0.0 {
+                return Err(k);
+            }
+            r2.sqrt()
+        } else {
+            (lkk * lkk + wk * wk).sqrt()
+        };
+        if !r.is_finite() {
+            return Err(k);
+        }
+        let (c, s) = (r / lkk, wk / lkk);
+        l[(k, k)] = r;
+        for i in k + 1..n {
+            let lik = if downdate {
+                (l[(i, k)] - s * w[i]) / c
+            } else {
+                (l[(i, k)] + s * w[i]) / c
+            };
+            l[(i, k)] = lik;
+            w[i] = c * w[i] - s * lik;
+        }
+    }
+    Ok(())
+}
+
+/// Solves (one vector, and q ∈ {1, 3, 13, 20} right-hand sides) and the
+/// rcond estimate read `U = Lᵀ` and must match the row-major-`L` loops
+/// bitwise.
+#[test]
+fn cholesky_solves_and_rcond_match_row_major_references() {
+    for n in LAYOUT_NS {
+        let a = spd(n, 0.37);
+        let c = Cholesky::factor(&a).unwrap();
+        let l = c.factor_u().transpose();
+
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() - 0.2).collect();
+        let (mut got, mut want) = (b.clone(), b);
+        c.solve_vec_in_place(&mut got).unwrap();
+        reference_solve_vec(&l, &mut want);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "solve_vec n={n}: {g} vs {w}");
+        }
+
+        let mut out = Matrix::zeros(0, 0);
+        for q in [1usize, 3, 13, 20] {
+            let rhs = filled(n, q, 2.3 + q as f64);
+            c.solve_into(&rhs, &mut out).unwrap();
+            assert_bits_eq(
+                &out,
+                &reference_solve(&l, &rhs),
+                &format!("solve_into n={n} q={q}"),
+            );
+        }
+
+        let anorm = a.norm_1();
+        let got = c.rcond_1_est(anorm, &mut Vec::new());
+        let want = reference_rcond(&l, anorm);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "rcond n={n}: {got:e} vs {want:e}"
+        );
+    }
+}
+
+/// `Matrix::norm_1`'s blocked row walk equals the plain column loop on
+/// non-symmetric shapes around its 64-column block (and on empty ones).
+#[test]
+fn norm_1_matches_column_loop() {
+    for (rows, cols) in [
+        (1, 1),
+        (5, 0),
+        (0, 5),
+        (3, 130),
+        (70, 63),
+        (70, 64),
+        (65, 65),
+        (463, 33),
+    ] {
+        let m = filled(rows, cols, 4.4);
+        let mut want = 0.0_f64;
+        for j in 0..cols {
+            let mut sum = 0.0;
+            for i in 0..rows {
+                sum += m[(i, j)].abs();
+            }
+            want = want.max(sum);
+        }
+        let got = m.norm_1();
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{rows}x{cols}: {got} vs {want}"
+        );
+    }
+}
+
+/// Rank-1 up/downdates rotate rows of `U` and must match the column
+/// recurrence on `L` bitwise; a failure forced at the first, a middle and
+/// the last column (overflow on either path, indefiniteness on the
+/// downdate) must restore the exact pre-call factor.
+#[test]
+fn rank1_updates_match_row_major_references_and_restore_on_failure() {
+    let mut work = Vec::new();
+    for n in LAYOUT_NS {
+        let a = spd(n, 1.9);
+        let mut c = Cholesky::factor(&a).unwrap();
+        let mut l = c.factor_u().transpose();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.83).cos()).collect();
+        c.rank1_update(&x, &mut work).unwrap();
+        reference_rank1(&mut l, &x, false).unwrap();
+        assert_bits_eq(c.factor_u(), &l.transpose(), &format!("rank1_update n={n}"));
+        let y: Vec<f64> = x.iter().map(|v| 0.5 * v).collect();
+        c.rank1_downdate(&y, &mut work).unwrap();
+        reference_rank1(&mut l, &y, true).unwrap();
+        assert_bits_eq(
+            c.factor_u(),
+            &l.transpose(),
+            &format!("rank1_downdate n={n}"),
+        );
+
+        let before = c.clone();
+        let mut columns = vec![0, n / 2, n - 1];
+        columns.dedup();
+        for j in columns {
+            // Small entries everywhere rotate every column before `j`, so
+            // the restore has real work to undo; entry `j` forces the fault.
+            let small: Vec<f64> = (0..n).map(|i| 1e-2 * (i as f64 * 0.47).sin()).collect();
+            let huge = f64::MAX.sqrt() * 2.0;
+            let indefinite = 2.0 * a[(j, j)].sqrt() + 1.0;
+            for (fault, downdate) in [(huge, false), (huge, true), (indefinite, true)] {
+                let mut v = small.clone();
+                v[j] = fault;
+                let mut l = before.factor_u().transpose();
+                assert_eq!(reference_rank1(&mut l, &v, downdate), Err(j), "n={n} j={j}");
+                let err = if downdate {
+                    c.rank1_downdate(&v, &mut work).unwrap_err()
+                } else {
+                    c.rank1_update(&v, &mut work).unwrap_err()
+                };
+                if fault == huge {
+                    assert!(matches!(err, LinalgError::NonFinite { .. }), "{err:?}");
+                } else {
+                    assert!(
+                        matches!(err, LinalgError::NotPositiveDefinite { pivot } if pivot == j),
+                        "{err:?}"
+                    );
+                }
+                assert_bits_eq(
+                    c.factor_u(),
+                    before.factor_u(),
+                    &format!("restore n={n} j={j} downdate={downdate}"),
+                );
+            }
+        }
     }
 }
