@@ -4,7 +4,8 @@
 //! one SGD step (buffer-reusing forward pass + backward pass + parameter
 //! update) performs **zero** heap allocations — the contract behind the
 //! workspace-buffer convention of `DESIGN.md` §9. The same is pinned for
-//! the streaming (constant-memory) step and for the `RidgePlan` β-sweep.
+//! the streaming (constant-memory) step, the lane feature kernel and the
+//! `RidgePlan` β-sweep.
 //!
 //! Gated behind the `count-allocs` feature so normal test runs keep the
 //! system allocator untouched:
@@ -170,6 +171,31 @@ fn streaming_step_is_allocation_free_after_warmup() {
             "post-warm-up streaming steps must not allocate ({allocs} allocations in 100 steps)"
         );
     });
+}
+
+#[test]
+fn lane_kernel_is_allocation_free_after_warmup() {
+    use dfr_reservoir::lanes::{dprr_lanes, LaneScratch};
+    use dfr_reservoir::representation::{Dprr, Representation};
+    let (model, long, _) = model_and_series(30, 120);
+    let (_, short, _) = model_and_series(30, 5);
+    let dfr = model.reservoir();
+    let dim = Dprr.dim(30);
+    let mut out = vec![0.0; 4 * dim];
+    let mut scratch = LaneScratch::new();
+    // Warm up on short series: the scratch holds no T-sized buffer, so
+    // groups of any length reuse it.
+    dprr_lanes::<_, 4>(dfr, &[&short; 4], &mut out, &mut scratch).expect("lanes");
+    let (allocs, ()) = count_allocs(|| {
+        for _ in 0..20 {
+            dprr_lanes::<_, 4>(dfr, &[&long; 4], &mut out, &mut scratch).expect("lanes");
+            dprr_lanes::<_, 1>(dfr, &[&long], &mut out[..dim], &mut scratch).expect("lane");
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "post-warm-up lane groups must not allocate ({allocs} allocations in 40 groups)"
+    );
 }
 
 #[test]

@@ -18,9 +18,11 @@ use crate::readout::{fit_readout_with, readout_accuracy_with, PAPER_BETAS};
 use crate::workspace::TrainWorkspace;
 use crate::{metrics, CoreError};
 use dfr_data::Dataset;
+use dfr_linalg::kernels::{self, LaneBody};
 use dfr_linalg::Matrix;
-use dfr_reservoir::representation::{Dprr, Representation};
-use dfr_reservoir::ReservoirRun;
+use dfr_reservoir::lanes::{dprr_lanes, LaneScratch};
+use dfr_reservoir::nonlinearity::Nonlinearity;
+use dfr_reservoir::{ModularDfr, ReservoirError};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -350,14 +352,23 @@ where
 
 /// [`features_for`] writing into a caller-owned feature matrix (resized,
 /// allocation reused) — grid search evaluates thousands of `(A, B)` points
-/// against the same dataset, so the `n × N_r` output and the per-worker
-/// reservoir-run scratch are recycled across points.
+/// against the same dataset, so the `n × N_r` output is recycled across
+/// points.
 ///
-/// Samples are independent: each output row is produced concurrently over
-/// the pool, with **one reservoir-run workspace per pool worker** (reused
-/// across that worker's block of samples, never shared), and rows land at
-/// their input index — bit-identical to the serial loop at every thread
-/// count.
+/// Rows are produced in groups of [`Kernel::lanes`] samples (4 under the
+/// `avx2` kernel, 1 otherwise) by the streaming lane kernel
+/// [`dprr_lanes`], which pushes a group through mask → recurrence → DPRR
+/// as SIMD lanes without storing any `T × N_x` history. Groups fan out
+/// over the pool, one [`LaneScratch`] per worker. A full group of
+/// equal-length series takes the lanes; any other group, and any group in
+/// which a lane failed (diverged, or a channel mismatch), is re-run one
+/// sample at a time, so the error reported is the per-sample path's error
+/// of the lowest failing index. Every row is
+/// bitwise equal to `run_into` + [`Dprr::features_into`] + `1/T` at every
+/// thread count and kernel.
+///
+/// [`Kernel::lanes`]: dfr_linalg::kernels::Kernel::lanes
+/// [`Dprr::features_into`]: dfr_reservoir::representation::Representation::features_into
 ///
 /// # Errors
 ///
@@ -377,21 +388,62 @@ where
     }
     let dim = model.feature_dim();
     out.resize(series.len(), dim);
+    // Resolved here and carried into the workers, like a GEMM's kernel.
+    let kernel = kernels::active();
+    let lanes = kernel.lanes();
+    let dfr = model.reservoir();
     dfr_pool::par_try_chunks_mut_with(
         out.as_mut_slice(),
-        dim,
-        ReservoirRun::empty,
-        |i, row, run| -> Result<(), CoreError> {
-            model.reservoir().run_into(series[i], run)?;
-            Dprr.features_into(run.states(), row);
-            // Same per-sample 1/T scaling as the forward pass.
-            let scale = 1.0 / (run.len().max(1) as f64);
-            for f in row.iter_mut() {
-                *f *= scale;
+        lanes * dim,
+        LaneScratch::new,
+        |g, rows, scratch| {
+            let group = &series[g * lanes..][..rows.len() / dim];
+            let lanes_fit = lanes > 1
+                && group.len() == lanes
+                && group.iter().all(|s| s.rows() == group[0].rows());
+            // A channel mismatch fails here too and lands in the re-run.
+            let in_lanes = lanes_fit
+                && kernel
+                    .run_lanes(LaneGroup {
+                        dfr,
+                        group,
+                        rows: &mut *rows,
+                        scratch: &mut *scratch,
+                    })
+                    .is_ok();
+            if !in_lanes {
+                for (s, row) in group.iter().zip(rows.chunks_exact_mut(dim)) {
+                    dprr_lanes::<_, 1>(dfr, std::slice::from_ref(s), row, scratch)?;
+                }
             }
-            Ok(())
+            for (s, row) in group.iter().zip(rows.chunks_exact_mut(dim)) {
+                // Same per-sample 1/T scaling as the forward pass.
+                let scale = 1.0 / (s.rows().max(1) as f64);
+                for f in row {
+                    *f *= scale;
+                }
+            }
+            Ok::<(), CoreError>(())
         },
     )
+}
+
+/// A full group of equal-length series for [`dprr_lanes`], run at the
+/// dispatched kernel's lane width (which equals the group size).
+struct LaneGroup<'a, N: Nonlinearity> {
+    dfr: &'a ModularDfr<N>,
+    group: &'a [&'a Matrix],
+    rows: &'a mut [f64],
+    scratch: &'a mut LaneScratch,
+}
+
+impl<N: Nonlinearity> LaneBody for LaneGroup<'_, N> {
+    type Output = Result<(), ReservoirError>;
+
+    #[inline(always)]
+    fn run<const L: usize>(self) -> Self::Output {
+        dprr_lanes::<N, L>(self.dfr, self.group, self.rows, self.scratch)
+    }
 }
 
 /// Test-split accuracy of a trained model; per-sample predictions fan out

@@ -568,3 +568,246 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// `features_for_into` against the per-sample reference.
+//
+// Rows come from the lane kernel (groups of four under the `avx2` kernel,
+// one sample at a time otherwise); the reference stores each run and
+// reduces it: `run_into` + `Dprr::features_into` + `1/T`. Every feature
+// must match bit for bit and every error must be the reference's error of
+// the lowest failing index, at pool widths 1 and 2 and under both the
+// forced-scalar kernel (width 1) and the best detected one.
+// ---------------------------------------------------------------------------
+
+/// The per-sample reference of `features_for_into`.
+fn reference_features(
+    m: &DfrClassifier,
+    series: &[Matrix],
+) -> Result<Vec<u64>, dfr_core::CoreError> {
+    use dfr_reservoir::representation::{Dprr, Representation};
+    let mut run = dfr_reservoir::ReservoirRun::empty();
+    let mut bits = Vec::new();
+    for s in series {
+        m.reservoir().run_into(s, &mut run)?;
+        let mut row = vec![0.0; m.feature_dim()];
+        Dprr.features_into(run.states(), &mut row);
+        let scale = 1.0 / (run.len().max(1) as f64);
+        bits.extend(row.iter().map(|f| (f * scale).to_bits()));
+    }
+    Ok(bits)
+}
+
+/// Scalar (width 1) and the best detected kernel (width 4 under `avx2`).
+fn lane_kernels() -> Vec<dfr_linalg::kernels::KernelKind> {
+    use dfr_linalg::kernels::{available, KernelKind};
+    let mut kinds = vec![KernelKind::Scalar, available()[0].kind()];
+    kinds.dedup();
+    kinds
+}
+
+/// Asserts `features_for_into` equals the reference — features bitwise,
+/// or the identical error — at pool widths 1 and 2 under every
+/// [`lane_kernels`] kernel.
+fn assert_matches_reference(m: &DfrClassifier, series: &[Matrix], what: &str) {
+    let want = reference_features(m, series);
+    for kind in lane_kernels() {
+        for threads in [1usize, 2] {
+            let mut out = Matrix::zeros(0, 0);
+            let got = dfr_pool::with_threads(threads, || {
+                dfr_linalg::kernels::with_kernel(kind, || {
+                    dfr_core::trainer::features_for_into(m, series.iter(), &mut out)
+                })
+            })
+            .map(|()| {
+                out.as_slice()
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(
+                got,
+                want,
+                "{what}: kernel {}, {threads} threads",
+                kind.name()
+            );
+            if got.is_ok() {
+                assert_eq!(out.shape(), (series.len(), m.feature_dim()), "{what}");
+            }
+        }
+    }
+}
+
+/// A `T × C` series of smooth values in about ±1.
+fn smooth(t: usize, c: usize, phase: f64) -> Matrix {
+    Matrix::from_vec(
+        t,
+        c,
+        (0..t * c)
+            .map(|i| ((i as f64) * 0.29 + phase).sin() * 0.9)
+            .collect(),
+    )
+    .expect("sized")
+}
+
+fn lane_model(channels: usize, a: f64, b: f64) -> DfrClassifier {
+    let mut m = DfrClassifier::paper_default(5, channels, 3, 11).expect("model");
+    m.reservoir_mut().set_params(a, b).expect("finite params");
+    m
+}
+
+#[test]
+fn features_for_matches_the_per_sample_reference_bitwise() {
+    for channels in [1usize, 2, 3, 4, 62] {
+        let m = lane_model(channels, 0.3, 0.45);
+        for n in (1..=9).chain([13]) {
+            for t in [1usize, 2, 3, 4, 5, 8, 9, 204] {
+                let series: Vec<Matrix> = (0..n)
+                    .map(|i| smooth(t, channels, 0.7 * i as f64))
+                    .collect();
+                assert_matches_reference(&m, &series, &format!("C={channels} n={n} T={t}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn ragged_groups_match_the_per_sample_reference() {
+    let m = lane_model(3, 0.3, 0.45);
+    // Each pattern breaks an equal-length run inside a group of four, and
+    // some include an empty (`0 × C`) series, whose features are zeros.
+    let patterns: [&[usize]; 6] = [
+        &[6, 6, 5, 6],
+        &[6, 6, 6, 6, 6, 9, 6, 6, 6],
+        &[4, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 4],
+        &[0, 7, 7, 7, 7, 7, 7, 7],
+        &[7, 7, 7, 7, 7, 0, 7],
+        &[1, 2, 3, 4, 5, 204, 204, 204, 204, 8],
+    ];
+    for lens in patterns {
+        let series: Vec<Matrix> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| smooth(t, 3, 0.4 * i as f64))
+            .collect();
+        assert_matches_reference(&m, &series, &format!("lengths {lens:?}"));
+    }
+}
+
+#[test]
+fn signed_zero_states_match_the_per_sample_reference() {
+    // Zero inputs give exact zero states whose sign depends on the signs
+    // of A and B (with A, B < 0 the chain alternates −0.0 and +0.0). The
+    // rows the DPRR used to skip are folded in, and must change no bit.
+    let (mut saw_zero, mut saw_negative_zero) = (false, false);
+    for (a, b) in [(0.3, 0.45), (-0.3, 0.45), (0.3, -0.45), (-0.3, -0.45)] {
+        let m = lane_model(2, a, b);
+        let mut series = Vec::new();
+        for i in 0..8 {
+            let mut s = smooth(9, 2, 0.5 * i as f64);
+            for k in 0..9 {
+                // Zero rows in runs, some as −0.0, some series all zero.
+                if i % 3 == 0 || (k + i) % 4 < 2 {
+                    let z = if (k + i) % 2 == 0 { 0.0 } else { -0.0 };
+                    s[(k, 0)] = z;
+                    s[(k, 1)] = -z;
+                }
+            }
+            series.push(s);
+        }
+        // All-zero series over every per-step sign pattern of (u₀, u₁),
+        // so the mask products take both zero signs.
+        for pattern in 0..16u32 {
+            let signed = |bit: u32| {
+                if pattern >> (bit % 4) & 1 == 1 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            };
+            let rows: Vec<f64> = (0..9u32).flat_map(|k| [signed(k), signed(k + 1)]).collect();
+            series.push(Matrix::from_vec(9, 2, rows).expect("sized"));
+        }
+        for s in &series {
+            let run = m.reservoir().run(s).expect("stable");
+            let states = run.states().as_slice();
+            saw_zero |= states.iter().any(|v| v.to_bits() == 0.0f64.to_bits());
+            saw_negative_zero |= states.iter().any(|v| v.to_bits() == (-0.0f64).to_bits());
+        }
+        assert_matches_reference(&m, &series, &format!("zeros A={a} B={b}"));
+    }
+    assert!(
+        saw_zero && saw_negative_zero,
+        "states must hit +0.0 and −0.0"
+    );
+}
+
+#[test]
+fn diverging_lanes_report_the_per_sample_error() {
+    let m = lane_model(1, 0.5, 0.4);
+    // A 1e7 spike at step `k` pushes |s| past the divergence limit there.
+    let spike = |k: usize| {
+        let mut s = smooth(12, 1, 0.3);
+        s[(k, 0)] = 1e7;
+        s
+    };
+    let calm = |i: usize| smooth(12, 1, 0.9 * i as f64);
+    let cases: [(&str, Vec<(usize, usize)>); 6] = [
+        ("lane 0", vec![(0, 5)]),
+        ("middle lane", vec![(1, 5)]),
+        ("last lane", vec![(3, 5)]),
+        ("two lanes, later one first", vec![(1, 9), (2, 2)]),
+        ("second group", vec![(6, 0)]),
+        ("two groups", vec![(7, 3), (1, 11)]),
+    ];
+    for (what, spikes) in cases {
+        let series: Vec<Matrix> = (0..9)
+            .map(|i| match spikes.iter().find(|(lane, _)| *lane == i) {
+                Some(&(_, k)) => spike(k),
+                None => calm(i),
+            })
+            .collect();
+        let want = reference_features(&m, &series);
+        assert!(
+            matches!(
+                want,
+                Err(dfr_core::CoreError::Reservoir(
+                    dfr_reservoir::ReservoirError::Diverged { .. }
+                ))
+            ),
+            "{what}: the reference must diverge"
+        );
+        assert_matches_reference(&m, &series, what);
+    }
+}
+
+#[test]
+fn channel_mismatch_and_empty_series_report_the_per_sample_error() {
+    let m = lane_model(2, 0.3, 0.45);
+    let ok = |i: usize| smooth(6, 2, i as f64);
+    let cases: [(&str, Vec<Matrix>); 5] = [
+        (
+            "wide series in a group",
+            vec![ok(0), ok(1), smooth(6, 3, 0.0), ok(3)],
+        ),
+        (
+            "0 × 0 series",
+            vec![ok(0), Matrix::zeros(0, 0), ok(2), ok(3), ok(4)],
+        ),
+        (
+            "0 × C series",
+            vec![ok(0), ok(1), Matrix::zeros(0, 2), ok(3)],
+        ),
+        (
+            "mismatch after a divergence",
+            vec![ok(0), Matrix::filled(6, 2, 1e7), smooth(6, 1, 0.0), ok(3)],
+        ),
+        (
+            "divergence after a mismatch",
+            vec![ok(0), smooth(6, 1, 0.0), Matrix::filled(6, 2, 1e7), ok(3)],
+        ),
+    ];
+    for (what, series) in cases {
+        assert_matches_reference(&m, &series, what);
+    }
+}

@@ -161,6 +161,50 @@ impl Kernel {
     pub fn is_strict(&self) -> bool {
         self.kind.is_strict()
     }
+
+    /// The lane width [`Kernel::run_lanes`] instantiates: 4 under `avx2`
+    /// (one `__m256d` per four `f64` lanes), 1 under every other kernel
+    /// — under plain SSE2 a 4-lane form measured slower than one lane.
+    pub fn lanes(&self) -> usize {
+        match self.kind {
+            KernelKind::Avx2 => 4,
+            _ => 1,
+        }
+    }
+
+    /// Runs `body` at [`Kernel::lanes`] lanes, compiled for this kernel's
+    /// instruction set (see [`LaneBody`]).
+    pub fn run_lanes<B: LaneBody>(&self, body: B) -> B::Output {
+        match self.kind {
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => x86_entry::avx2_lanes(body),
+            _ => body.run::<1>(),
+        }
+    }
+}
+
+/// A computation written once, generic over its SIMD lane width `L`, that
+/// [`Kernel::run_lanes`] instantiates at the kernel's width
+/// ([`Kernel::lanes`]) and compiles for the kernel's instruction set.
+///
+/// This is how lane-parallel code outside this crate — which stays
+/// `unsafe`-free — gets AVX2 code generation: the implementation operates
+/// on portable `[f64; L]` lane arrays, and `run_lanes` calls it from an
+/// `#[target_feature(enable = "avx2")]` trampoline, where the vectoriser
+/// maps four lanes onto one `__m256d`. Mark `run` and everything hot it
+/// calls `#[inline(always)]`: only code inlined into the trampoline is
+/// compiled for the wider instruction set. Keep rare exits out of the hot
+/// loops, e.g. build an error in a `#[cold]` function: an early
+/// `return Err(..)` inside them once cost the lane feature kernel about a
+/// quarter of its speed. The target feature adds no FMA, so separate
+/// multiplies and adds stay separate and every lane rounds exactly as the
+/// scalar chain does.
+pub trait LaneBody {
+    /// What the computation returns.
+    type Output;
+
+    /// Runs the computation with `L` lanes.
+    fn run<const L: usize>(self) -> Self::Output;
 }
 
 impl std::fmt::Debug for Kernel {
@@ -296,6 +340,17 @@ mod x86 {
         _mm256_storeu_pd(p.add(20), c21);
         _mm256_storeu_pd(p.add(24), c30);
         _mm256_storeu_pd(p.add(28), c31);
+    }
+
+    /// The [`super::LaneBody`] trampoline: `body.run::<4>()` — and
+    /// whatever it inlines — compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (see [`avx2_mul_add`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2_lanes<B: super::LaneBody>(body: B) -> B::Output {
+        body.run::<4>()
     }
 
     /// AVX2 subtractive tile: identical walk, `_mm256_sub_pd` epilogue.
@@ -548,6 +603,13 @@ mod x86_entry {
     pub(super) fn avx2_mul_sub(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
         // SAFETY: as above.
         unsafe { x86::avx2_mul_sub(a, b, acc) }
+    }
+
+    pub(super) fn avx2_lanes<B: super::LaneBody>(body: B) -> B::Output {
+        // SAFETY: only reachable through a `Kernel` of kind `Avx2`, which
+        // the dispatch table hands out after
+        // `is_x86_feature_detected!("avx2")`.
+        unsafe { x86::avx2_lanes(body) }
     }
 
     #[cfg(feature = "fast-math")]
@@ -1088,6 +1150,20 @@ mod tests {
             }
         }
         (a, b, seed)
+    }
+
+    #[test]
+    fn run_lanes_instantiates_the_kernel_width() {
+        struct Width;
+        impl LaneBody for Width {
+            type Output = usize;
+            fn run<const L: usize>(self) -> usize {
+                L
+            }
+        }
+        for kern in available() {
+            assert_eq!(kern.run_lanes(Width), kern.lanes(), "{}", kern.name());
+        }
     }
 
     #[test]

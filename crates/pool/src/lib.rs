@@ -36,7 +36,7 @@
 //! 2. a process-wide override installed by [`set_threads`] (used by the
 //!    experiment binaries' `--threads` flag),
 //! 3. the `DFR_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 4. [`std::thread::available_parallelism`], sampled once per process.
 //!
 //! A region inside a pool worker always runs serially (no nested fan-out),
 //! so outer layers — e.g. a dataset sweep — claim the threads and inner
@@ -81,10 +81,20 @@ fn env_threads() -> usize {
     })
 }
 
+/// [`std::thread::available_parallelism`] sampled once per process (1 if
+/// unknown): the query re-reads cgroup files on every call, which costs
+/// tens of microseconds — more than a small GEMM.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The thread count parallel regions started from this thread will use.
 ///
 /// Resolution order: [`with_threads`] override → [`set_threads`] override →
-/// `DFR_THREADS` → [`std::thread::available_parallelism`] → 1.
+/// `DFR_THREADS` → [`std::thread::available_parallelism`] → 1. The
+/// environment variable and the host count are each read once per
+/// process.
 pub fn max_threads() -> usize {
     let local = LOCAL_THREADS.with(Cell::get);
     if local > 0 {
@@ -98,7 +108,7 @@ pub fn max_threads() -> usize {
     if env > 0 {
         return env;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    host_threads()
 }
 
 /// Installs (or with `None` clears) the process-wide thread-count override.

@@ -20,6 +20,9 @@
 //! * [`representation`] — reservoir representations turning the `T × N_x`
 //!   state history into fixed-length features; [`representation::Dprr`] is
 //!   the dot-product reservoir representation of paper §2.2.
+//! * [`lanes`] — the streaming feature kernel: several equal-length series
+//!   at once, one per SIMD lane, through mask → recurrence → DPRR without
+//!   storing the state history.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@
 
 pub mod classic;
 mod error;
+pub mod lanes;
 pub mod mask;
 pub mod modular;
 pub mod nonlinearity;

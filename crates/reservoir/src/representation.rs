@@ -85,9 +85,9 @@ impl Representation for Dprr {
         // still receives its contributions one `+=` at a time in strictly
         // ascending `k`, so the result is bitwise identical to the
         // one-step-at-a-time loop. The bias block (Eq. 11 / 19) is fused
-        // the same way. The pre-PR `xi == 0` row skip is preserved exactly
-        // (adding a `0·x` term is *not* a bitwise no-op for −0.0), with
-        // mixed-zero groups falling back to narrower sweeps.
+        // the same way. Rows with `x(k)_i = 0` are not skipped: their terms
+        // are `±0.0`, and an accumulator that starts at `+0.0` can never
+        // become `−0.0`, so adding them changes no bit (states are finite).
         let mut k = 0;
         if t_len > 0 {
             // Step 0 contributes only to the bias block.
@@ -99,32 +99,18 @@ impl Representation for Dprr {
         while k + 4 <= t_len {
             let window = &flat[(k - 1) * nx..(k + 4) * nx];
             let (x0, c_rows) = window.split_at(nx); // x(k−1), then x(k)..x(k+3)
-            for i in 0..nx {
-                let c0 = c_rows[i];
-                let c1 = c_rows[nx + i];
-                let c2 = c_rows[2 * nx + i];
-                let c3 = c_rows[3 * nx + i];
-                let row = &mut products[i * nx..(i + 1) * nx];
-                if c0 != 0.0 && c1 != 0.0 && c2 != 0.0 && c3 != 0.0 {
-                    rank4(
-                        row,
-                        x0,
-                        c0,
-                        &c_rows[..nx],
-                        c1,
-                        &c_rows[nx..2 * nx],
-                        c2,
-                        &c_rows[2 * nx..3 * nx],
-                        c3,
-                    );
-                } else {
-                    // Narrow path: per-step updates with the exact skip.
-                    for (step, &c) in [c0, c1, c2, c3].iter().enumerate() {
-                        if c != 0.0 {
-                            rank1(row, &window[step * nx..(step + 1) * nx], c);
-                        }
-                    }
-                }
+            for (i, row) in products.chunks_exact_mut(nx).enumerate() {
+                rank4(
+                    row,
+                    x0,
+                    c_rows[i],
+                    &c_rows[..nx],
+                    c_rows[nx + i],
+                    &c_rows[nx..2 * nx],
+                    c_rows[2 * nx + i],
+                    &c_rows[2 * nx..3 * nx],
+                    c_rows[3 * nx + i],
+                );
             }
             for (i, s) in sums.iter_mut().enumerate() {
                 let mut v = *s;
@@ -143,9 +129,7 @@ impl Representation for Dprr {
             }
             let x_prev = &flat[(k - 1) * nx..k * nx];
             for (row, &xi) in products.chunks_exact_mut(nx).zip(x_k) {
-                if xi != 0.0 {
-                    rank1(row, x_prev, xi);
-                }
+                rank1(row, x_prev, xi);
             }
             k += 1;
         }
