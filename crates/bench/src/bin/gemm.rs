@@ -27,13 +27,9 @@
 //!
 //! **Per-kernel columns** (`DESIGN.md` §13): the packed path is re-timed
 //! under every SIMD kernel this host can run (`dfr_linalg::kernels::
-//! available()`), via the thread-local `with_kernel` override. Strict
-//! kernels (scalar/sse2/avx2/neon) must be **bitwise** identical to the
-//! frozen scalar baseline before their column is recorded; opt-in FMA
-//! kernels (`--features fast-math`) are verified against a
-//! `1e-13·(|x| + k)` elementwise tolerance instead and carry
-//! `"strict": false` so readers cannot mistake them for the
-//! reproducibility-grade path.
+//! available()`), via the thread-local `with_kernel` override. Every
+//! kernel (scalar/sse2/avx2/neon) must be **bitwise** identical to the
+//! frozen scalar baseline before its column is recorded.
 
 use dfr_bench::{
     apply_threads, json_array, json_f64, json_object, json_str, row, sample_stats, write_results,
@@ -172,17 +168,6 @@ fn time_samples<R>(repeat: usize, f: impl Fn() -> R) -> (Vec<f64>, R) {
     (samples, result)
 }
 
-/// FMA-kernel oracle: elementwise agreement within `1e-13 · (|x| + k)` —
-/// the fused rounding changes at most the last few ulps per `k`-step.
-fn within_fma_tolerance(got: &Matrix, expect: &Matrix, k: usize) -> bool {
-    got.shape() == expect.shape()
-        && got
-            .as_slice()
-            .iter()
-            .zip(expect.as_slice())
-            .all(|(g, e)| (g - e).abs() <= 1e-13 * (e.abs() + k as f64))
-}
-
 fn main() {
     let args = Args::from_env();
     let repeat = args.get_usize("repeat", 7).max(1);
@@ -302,19 +287,11 @@ fn main() {
         let mut kernel_fields = Vec::new();
         for kernel in &avail {
             let (k_samples, k_result) = time_samples(repeat, || with_kernel(kernel.kind(), packed));
-            if kernel.is_strict() {
-                assert!(
-                    k_result == base_result,
-                    "{name}: strict kernel {} diverged from the scalar baseline",
-                    kernel.name()
-                );
-            } else {
-                assert!(
-                    within_fma_tolerance(&k_result, &base_result, *k),
-                    "{name}: fma kernel {} outside tolerance",
-                    kernel.name()
-                );
-            }
+            assert!(
+                k_result == base_result,
+                "{name}: kernel {} diverged from the scalar baseline",
+                kernel.name()
+            );
             let (k_mean, k_median, k_stddev) = sample_stats(&k_samples);
             let k_speedup = base_median / k_median.max(1e-12);
             kernel_table.push(row(
@@ -323,7 +300,7 @@ fn main() {
                     kernel.name().into(),
                     format!("{:.3}", k_median * 1e3),
                     format!("{k_speedup:.2}x"),
-                    if kernel.is_strict() { "yes" } else { "tol" }.into(),
+                    "yes".into(),
                 ],
                 &[16, 12, 12, 9, 6],
             ));
@@ -334,7 +311,6 @@ fn main() {
                     ("median_ns", json_f64(k_median * 1e9)),
                     ("stddev_ns", json_f64(k_stddev * 1e9)),
                     ("speedup_vs_baseline", json_f64(k_speedup)),
-                    ("strict", kernel.is_strict().to_string()),
                 ]),
             ));
         }
@@ -364,8 +340,8 @@ fn main() {
                      dot); packed = register-tiled panel-packed microkernel path under \
                      the default dispatch; `kernels` re-times the packed path per SIMD \
                      kernel via with_kernel; median over `repeat` runs after one \
-                     warm-up; strict kernels asserted bitwise identical to the \
-                     baseline (fma kernels to 1e-13*(|x|+k)) before recording",
+                     warm-up; every kernel asserted bitwise identical to the \
+                     baseline before recording",
                 ),
             ),
         ]));

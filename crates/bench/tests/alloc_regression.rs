@@ -216,7 +216,7 @@ fn packed_matmul_is_allocation_free_after_warmup() {
         .expect("sized");
         let mut ws = GemmWorkspace::new();
         let mut out = Matrix::zeros(0, 0);
-        let mut all = |ws: &mut GemmWorkspace, out: &mut Matrix| {
+        let all = |ws: &mut GemmWorkspace, out: &mut Matrix| {
             a.matmul_into_ws(&b, out, ws).expect("matmul");
             a.t_matmul_into_ws(&b, out, ws).expect("t_matmul");
             a.matmul_t_into_ws(&b, out, ws).expect("matmul_t");
@@ -341,7 +341,7 @@ fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
         let (p, q, beta) = (40usize, 4usize, 1e-4);
         let mut learner = OnlineRidge::new(p, q, beta).expect("learner");
         let mut features = vec![0.0f64; p];
-        let mut fill = |buf: &mut [f64], k: usize| {
+        let fill = |buf: &mut [f64], k: usize| {
             for (j, v) in buf.iter_mut().enumerate() {
                 *v = ((k * 31 + j * 7) as f64 * 0.173).sin();
             }

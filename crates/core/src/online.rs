@@ -384,9 +384,9 @@ impl OnlineRidge {
     }
 
     /// Refits the readout from the maintained system under the active
-    /// [`SolverPolicy`] (resolution: `with_solver` → `set_solver` →
-    /// `DFR_SOLVER` → Auto), writing `w_out` (`q × p`) and `bias`
-    /// (length `q`) in the [`crate::readout::FittedReadout`] convention.
+    /// [`SolverPolicy`] (resolution: `with_solver` → `DFR_SOLVER` → Auto),
+    /// writing `w_out` (`q × p`) and `bias` (length `q`) in the
+    /// [`crate::readout::FittedReadout`] convention.
     ///
     /// # Errors
     ///
@@ -579,7 +579,11 @@ mod tests {
             learner.absorb(x, t).unwrap();
             // Refit at several prefixes, not only the end.
             if i % 7 == 6 || i + 1 == samples.len() {
-                learner.refit_into(&mut w, &mut b).unwrap();
+                // Auto named explicitly: the fast-path assertions below
+                // describe Auto, whatever `DFR_SOLVER` forces.
+                learner
+                    .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+                    .unwrap();
                 let (bw, bb) = batch_fit(&samples[..=i], beta);
                 assert_close(&w, &bw, 1e-9, "w_out");
                 for (x1, x2) in b.iter().zip(&bb) {

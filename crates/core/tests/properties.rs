@@ -9,7 +9,7 @@ use dfr_core::streaming::{
     streaming_backprop, streaming_backprop_into, StreamingCache, StreamingForward,
 };
 use dfr_core::workspace::{BackpropWorkspace, TrainWorkspace};
-use dfr_core::{DfrClassifier, ForwardCache};
+use dfr_core::{CoreError, DfrClassifier, ForwardCache};
 use dfr_linalg::ridge::{augment_ones, RidgeMode, RidgePlan};
 use dfr_linalg::solver::{with_solver, SolverKind, SolverPolicy};
 use dfr_linalg::Matrix;
@@ -437,7 +437,11 @@ proptest! {
     /// Retracting a sample that was never absorbed can drive the system
     /// indefinite: the downdate must fail *typed*, leave the learner
     /// serviceable (escalated refit still answers finite weights), and
-    /// never panic — for any rogue vector scale.
+    /// never panic — for any rogue vector scale. A refit pinned to
+    /// Cholesky cannot escalate: on the stale (indefinite) system it
+    /// fails with a typed `CoreError::Linalg`, and the learner still
+    /// answers under Auto afterwards. Both refits name their policy, so
+    /// the property holds under any `DFR_SOLVER`.
     #[test]
     fn online_indefinite_retraction_escalates_not_poisons(
         seed in 0u64..1000,
@@ -457,7 +461,20 @@ proptest! {
         // depends on the geometry, but a large enough rogue vector makes
         // the downdated system indefinite and marks the factor stale.
         let _ = learner.retract(&rogue, &t);
-        let (w, b) = learner.refit().expect("escalated refit must answer");
+        let stale = learner.factor_stale();
+        let (mut w, mut b) = (Matrix::zeros(0, 0), Vec::new());
+        let forced = learner.refit_into_with(
+            &mut w,
+            &mut b,
+            SolverPolicy::Fixed(SolverKind::Cholesky),
+        );
+        prop_assert_eq!(forced.is_err(), stale, "forced Cholesky: {:?}", forced);
+        if let Err(e) = forced {
+            prop_assert!(matches!(e, CoreError::Linalg(_)), "untyped failure: {}", e);
+        }
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .expect("escalated refit must answer");
         prop_assert!(w.as_slice().iter().all(|v| v.is_finite()));
         prop_assert!(b.iter().all(|v| v.is_finite()));
     }
@@ -531,7 +548,7 @@ proptest! {
 
     /// End-to-end trained-model identity across SIMD kernels (`DESIGN.md`
     /// §13): the full `train` pipeline produces bitwise-identical models,
-    /// losses and selected β under every available strict kernel. Pinned
+    /// losses and selected β under every available kernel. Pinned
     /// at pool width 1 because the thread-local `with_kernel` override
     /// does not reach products issued from inside pool workers — whole-
     /// process kernel selection at width 4 is covered by the CI
@@ -552,7 +569,7 @@ proptest! {
                 dfr_core::trainer::train(&ds, &options).unwrap()
             })
         });
-        for kernel in available().into_iter().filter(|k| k.is_strict()) {
+        for kernel in available() {
             let got = dfr_pool::with_threads(1, || {
                 with_kernel(kernel.kind(), || {
                     dfr_core::trainer::train(&ds, &options).unwrap()

@@ -12,44 +12,32 @@
 //!
 //! # Bit-identity (the `DESIGN.md` §8 contract)
 //!
-//! Every *strict* kernel vectorises across the **m/n lanes of the tile**
+//! Every kernel vectorises across the **m/n lanes of the tile**
 //! only: lane `j` of a vector holds output element `(i, j)`, and one `k`
 //! step performs one vector multiply followed by one vector add — never a
 //! fused multiply-add. IEEE 754 arithmetic is correctly rounded per lane,
 //! so each output element sees exactly the scalar reference's operation
 //! sequence (`k` ascending, one `mul` + one `add` per step from `+0.0`)
-//! and every strict kernel is **bitwise identical** to `scalar`. That is
+//! and every kernel is **bitwise identical** to `scalar`. That is
 //! why the whole §8 pinning apparatus — product property suites, the
 //! golden frozen-model digest, the serve loopback oracle — keeps holding
 //! for free no matter which kernel dispatch picks.
 //!
-//! # `fast-math` (opt-in, tolerance-verified)
-//!
-//! With the `fast-math` cargo feature the table additionally compiles FMA
-//! variants (`scalar-fma`, `avx2-fma`, `neon-fma`) that contract each
-//! `mul`+`add` into one fused operation: faster and *more* accurate per
-//! step (one rounding instead of two), but **not** bit-identical to the
-//! strict chain. They are never selected automatically — only an explicit
-//! `DFR_KERNEL=…-fma`, [`with_kernel`] or [`set_kernel`] picks one — and
-//! they are verified by per-element relative-error oracles against the
-//! strict kernel instead of bit equality.
-//!
 //! # Selection order
 //!
 //! [`active`] resolves, in order: the calling thread's [`with_kernel`]
-//! override → the process-wide [`set_kernel`] override → the process
-//! default, computed once on first use from `DFR_KERNEL` (exact kernel,
-//! panicking loudly if unknown or unavailable — differential CI must not
-//! silently fall back) or, with no env var, the best detected strict
-//! kernel (`avx2` → `sse2` on x86-64, `neon` on aarch64, else `scalar`).
+//! override → the process default, computed once on first use from
+//! `DFR_KERNEL` (exact kernel, panicking loudly if unknown or unavailable
+//! — differential CI must not silently fall back) or, with no env var,
+//! the best detected kernel (`avx2` → `sse2` on x86-64, `neon` on aarch64,
+//! else `scalar`). Both pieces are the shared `dfr_pool::knob` helpers.
 //!
 //! Products resolve their kernel **once at entry on the calling thread**
 //! and carry it into their parallel bands, so a [`with_kernel`] scope
 //! covers a product's whole fan-out. Products issued *from inside* pool
 //! workers (nested parallelism, e.g. per-sample feature extraction)
 //! resolve on the worker thread instead — pin `dfr_pool::with_threads(1)`
-//! around such flows, or use [`set_kernel`] / `DFR_KERNEL`, to hold one
-//! kernel end to end.
+//! around such flows, or use `DFR_KERNEL`, to hold one kernel end to end.
 
 // The SIMD kernels are the one place in the workspace that needs
 // `unsafe`: `std::arch` intrinsics and the raw-pointer panel walks they
@@ -60,7 +48,6 @@
 
 use crate::gemm::{MR, NR};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// The microkernel signature: one full-`k` pass over an `MR`-row A panel
@@ -70,10 +57,6 @@ use std::sync::OnceLock;
 pub type MicroKernelFn = fn(&[f64], &[f64], &mut [[f64; NR]; MR]);
 
 /// Identifies one entry of the kernel table.
-///
-/// The FMA variants exist in the enum unconditionally so match arms stay
-/// stable, but [`kernel`] only returns them when the crate was built with
-/// the `fast-math` feature *and* the host supports them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Portable scalar loops — the reference every other kernel must match.
@@ -84,24 +67,15 @@ pub enum KernelKind {
     Avx2,
     /// 2-lane NEON kernel (`aarch64` baseline).
     Neon,
-    /// `f64::mul_add` scalar kernel (`fast-math` only, tolerance-verified).
-    ScalarFma,
-    /// AVX2+FMA kernel (`fast-math` only, tolerance-verified).
-    Avx2Fma,
-    /// NEON fused kernel (`fast-math` only, tolerance-verified).
-    NeonFma,
 }
 
 impl KernelKind {
-    /// Every kind, in the encoding order used by the override cells.
-    pub const ALL: [KernelKind; 7] = [
+    /// Every kind.
+    pub const ALL: [KernelKind; 4] = [
         KernelKind::Scalar,
         KernelKind::Sse2,
         KernelKind::Avx2,
         KernelKind::Neon,
-        KernelKind::ScalarFma,
-        KernelKind::Avx2Fma,
-        KernelKind::NeonFma,
     ];
 
     /// The `DFR_KERNEL` spelling of this kind.
@@ -111,9 +85,6 @@ impl KernelKind {
             KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
             KernelKind::Neon => "neon",
-            KernelKind::ScalarFma => "scalar-fma",
-            KernelKind::Avx2Fma => "avx2-fma",
-            KernelKind::NeonFma => "neon-fma",
         }
     }
 
@@ -121,16 +92,6 @@ impl KernelKind {
     pub fn parse(s: &str) -> Option<KernelKind> {
         let s = s.trim().to_ascii_lowercase();
         KernelKind::ALL.into_iter().find(|k| k.name() == s)
-    }
-
-    /// Whether this kernel is bit-identical to `scalar` (no FMA
-    /// contraction). Strict kernels are interchangeable under the §8
-    /// contract; non-strict ones are verified by tolerance oracles.
-    pub fn is_strict(self) -> bool {
-        !matches!(
-            self,
-            KernelKind::ScalarFma | KernelKind::Avx2Fma | KernelKind::NeonFma
-        )
     }
 }
 
@@ -154,12 +115,6 @@ impl Kernel {
     /// The `DFR_KERNEL` spelling of this kernel.
     pub fn name(&self) -> &'static str {
         self.kind.name()
-    }
-
-    /// Whether this kernel is bit-identical to `scalar` (see
-    /// [`KernelKind::is_strict`]).
-    pub fn is_strict(&self) -> bool {
-        self.kind.is_strict()
     }
 
     /// The lane width [`Kernel::run_lanes`] instantiates: 4 under `avx2`
@@ -238,28 +193,6 @@ pub(crate) fn scalar_mul_sub(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; 
         for (accr, &ai) in acc.iter_mut().zip(av) {
             for (slot, &bj) in accr.iter_mut().zip(bv) {
                 *slot -= ai * bj;
-            }
-        }
-    }
-}
-
-#[cfg(feature = "fast-math")]
-fn scalar_fma_mul_add(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (accr, &ai) in acc.iter_mut().zip(av) {
-            for (slot, &bj) in accr.iter_mut().zip(bv) {
-                *slot = ai.mul_add(bj, *slot);
-            }
-        }
-    }
-}
-
-#[cfg(feature = "fast-math")]
-fn scalar_fma_mul_sub(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (accr, &ai) in acc.iter_mut().zip(av) {
-            for (slot, &bj) in accr.iter_mut().zip(bv) {
-                *slot = (-ai).mul_add(bj, *slot);
             }
         }
     }
@@ -467,113 +400,6 @@ mod x86 {
             _mm_storeu_pd(p.add(6), c3);
         }
     }
-
-    /// AVX2+FMA multiply-add tile (`fast-math` only): one
-    /// `_mm256_fmadd_pd` per accumulator per `k` step — a single rounding
-    /// where the strict kernel takes two, so *not* bit-identical.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 **and** FMA (dispatch detects both).
-    #[cfg(feature = "fast-math")]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn avx2_fma_mul_add(
-        a_panel: &[f64],
-        b_panel: &[f64],
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        let k = panel_depth(a_panel, b_panel);
-        let p = acc.as_mut_ptr() as *mut f64;
-        let mut c00 = _mm256_loadu_pd(p);
-        let mut c01 = _mm256_loadu_pd(p.add(4));
-        let mut c10 = _mm256_loadu_pd(p.add(8));
-        let mut c11 = _mm256_loadu_pd(p.add(12));
-        let mut c20 = _mm256_loadu_pd(p.add(16));
-        let mut c21 = _mm256_loadu_pd(p.add(20));
-        let mut c30 = _mm256_loadu_pd(p.add(24));
-        let mut c31 = _mm256_loadu_pd(p.add(28));
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..k {
-            let b0 = _mm256_loadu_pd(bp);
-            let b1 = _mm256_loadu_pd(bp.add(4));
-            let a0 = _mm256_broadcast_sd(&*ap);
-            c00 = _mm256_fmadd_pd(a0, b0, c00);
-            c01 = _mm256_fmadd_pd(a0, b1, c01);
-            let a1 = _mm256_broadcast_sd(&*ap.add(1));
-            c10 = _mm256_fmadd_pd(a1, b0, c10);
-            c11 = _mm256_fmadd_pd(a1, b1, c11);
-            let a2 = _mm256_broadcast_sd(&*ap.add(2));
-            c20 = _mm256_fmadd_pd(a2, b0, c20);
-            c21 = _mm256_fmadd_pd(a2, b1, c21);
-            let a3 = _mm256_broadcast_sd(&*ap.add(3));
-            c30 = _mm256_fmadd_pd(a3, b0, c30);
-            c31 = _mm256_fmadd_pd(a3, b1, c31);
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        _mm256_storeu_pd(p, c00);
-        _mm256_storeu_pd(p.add(4), c01);
-        _mm256_storeu_pd(p.add(8), c10);
-        _mm256_storeu_pd(p.add(12), c11);
-        _mm256_storeu_pd(p.add(16), c20);
-        _mm256_storeu_pd(p.add(20), c21);
-        _mm256_storeu_pd(p.add(24), c30);
-        _mm256_storeu_pd(p.add(28), c31);
-    }
-
-    /// AVX2+FMA subtractive tile via `_mm256_fnmadd_pd`
-    /// (`acc − a·b`, fused).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 **and** FMA (see [`avx2_fma_mul_add`]).
-    #[cfg(feature = "fast-math")]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn avx2_fma_mul_sub(
-        a_panel: &[f64],
-        b_panel: &[f64],
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        let k = panel_depth(a_panel, b_panel);
-        let p = acc.as_mut_ptr() as *mut f64;
-        let mut c00 = _mm256_loadu_pd(p);
-        let mut c01 = _mm256_loadu_pd(p.add(4));
-        let mut c10 = _mm256_loadu_pd(p.add(8));
-        let mut c11 = _mm256_loadu_pd(p.add(12));
-        let mut c20 = _mm256_loadu_pd(p.add(16));
-        let mut c21 = _mm256_loadu_pd(p.add(20));
-        let mut c30 = _mm256_loadu_pd(p.add(24));
-        let mut c31 = _mm256_loadu_pd(p.add(28));
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..k {
-            let b0 = _mm256_loadu_pd(bp);
-            let b1 = _mm256_loadu_pd(bp.add(4));
-            let a0 = _mm256_broadcast_sd(&*ap);
-            c00 = _mm256_fnmadd_pd(a0, b0, c00);
-            c01 = _mm256_fnmadd_pd(a0, b1, c01);
-            let a1 = _mm256_broadcast_sd(&*ap.add(1));
-            c10 = _mm256_fnmadd_pd(a1, b0, c10);
-            c11 = _mm256_fnmadd_pd(a1, b1, c11);
-            let a2 = _mm256_broadcast_sd(&*ap.add(2));
-            c20 = _mm256_fnmadd_pd(a2, b0, c20);
-            c21 = _mm256_fnmadd_pd(a2, b1, c21);
-            let a3 = _mm256_broadcast_sd(&*ap.add(3));
-            c30 = _mm256_fnmadd_pd(a3, b0, c30);
-            c31 = _mm256_fnmadd_pd(a3, b1, c31);
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        _mm256_storeu_pd(p, c00);
-        _mm256_storeu_pd(p.add(4), c01);
-        _mm256_storeu_pd(p.add(8), c10);
-        _mm256_storeu_pd(p.add(12), c11);
-        _mm256_storeu_pd(p.add(16), c20);
-        _mm256_storeu_pd(p.add(20), c21);
-        _mm256_storeu_pd(p.add(24), c30);
-        _mm256_storeu_pd(p.add(28), c31);
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -610,19 +436,6 @@ mod x86_entry {
         // the dispatch table hands out after
         // `is_x86_feature_detected!("avx2")`.
         unsafe { x86::avx2_lanes(body) }
-    }
-
-    #[cfg(feature = "fast-math")]
-    pub(super) fn avx2_fma_mul_add(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: the dispatch table only exposes the FMA kernel after
-        // detecting both "avx2" and "fma".
-        unsafe { x86::avx2_fma_mul_add(a, b, acc) }
-    }
-
-    #[cfg(feature = "fast-math")]
-    pub(super) fn avx2_fma_mul_sub(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: as above.
-        unsafe { x86::avx2_fma_mul_sub(a, b, acc) }
     }
 }
 
@@ -738,115 +551,6 @@ mod arm {
             vst1q_f64(p.add(i * 2), v);
         }
     }
-
-    /// NEON fused tile (`fast-math` only): `vfmaq_f64` per accumulator —
-    /// one rounding per step, tolerance-verified, not bit-identical.
-    ///
-    /// # Safety
-    ///
-    /// Same as [`neon_mul_add`].
-    #[cfg(feature = "fast-math")]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_fma_mul_add(
-        a_panel: &[f64],
-        b_panel: &[f64],
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        let k = panel_depth(a_panel, b_panel);
-        let p = acc.as_mut_ptr() as *mut f64;
-        let mut c: [float64x2_t; 16] = [
-            vld1q_f64(p),
-            vld1q_f64(p.add(2)),
-            vld1q_f64(p.add(4)),
-            vld1q_f64(p.add(6)),
-            vld1q_f64(p.add(8)),
-            vld1q_f64(p.add(10)),
-            vld1q_f64(p.add(12)),
-            vld1q_f64(p.add(14)),
-            vld1q_f64(p.add(16)),
-            vld1q_f64(p.add(18)),
-            vld1q_f64(p.add(20)),
-            vld1q_f64(p.add(22)),
-            vld1q_f64(p.add(24)),
-            vld1q_f64(p.add(26)),
-            vld1q_f64(p.add(28)),
-            vld1q_f64(p.add(30)),
-        ];
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..k {
-            let b0 = vld1q_f64(bp);
-            let b1 = vld1q_f64(bp.add(2));
-            let b2 = vld1q_f64(bp.add(4));
-            let b3 = vld1q_f64(bp.add(6));
-            for row in 0..MR {
-                let a = vdupq_n_f64(*ap.add(row));
-                c[row * 4] = vfmaq_f64(c[row * 4], a, b0);
-                c[row * 4 + 1] = vfmaq_f64(c[row * 4 + 1], a, b1);
-                c[row * 4 + 2] = vfmaq_f64(c[row * 4 + 2], a, b2);
-                c[row * 4 + 3] = vfmaq_f64(c[row * 4 + 3], a, b3);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (i, v) in c.into_iter().enumerate() {
-            vst1q_f64(p.add(i * 2), v);
-        }
-    }
-
-    /// NEON fused subtractive tile (`vfmsq_f64`: `acc − a·b`, fused).
-    ///
-    /// # Safety
-    ///
-    /// Same as [`neon_mul_add`].
-    #[cfg(feature = "fast-math")]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_fma_mul_sub(
-        a_panel: &[f64],
-        b_panel: &[f64],
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        let k = panel_depth(a_panel, b_panel);
-        let p = acc.as_mut_ptr() as *mut f64;
-        let mut c: [float64x2_t; 16] = [
-            vld1q_f64(p),
-            vld1q_f64(p.add(2)),
-            vld1q_f64(p.add(4)),
-            vld1q_f64(p.add(6)),
-            vld1q_f64(p.add(8)),
-            vld1q_f64(p.add(10)),
-            vld1q_f64(p.add(12)),
-            vld1q_f64(p.add(14)),
-            vld1q_f64(p.add(16)),
-            vld1q_f64(p.add(18)),
-            vld1q_f64(p.add(20)),
-            vld1q_f64(p.add(22)),
-            vld1q_f64(p.add(24)),
-            vld1q_f64(p.add(26)),
-            vld1q_f64(p.add(28)),
-            vld1q_f64(p.add(30)),
-        ];
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..k {
-            let b0 = vld1q_f64(bp);
-            let b1 = vld1q_f64(bp.add(2));
-            let b2 = vld1q_f64(bp.add(4));
-            let b3 = vld1q_f64(bp.add(6));
-            for row in 0..MR {
-                let a = vdupq_n_f64(*ap.add(row));
-                c[row * 4] = vfmsq_f64(c[row * 4], a, b0);
-                c[row * 4 + 1] = vfmsq_f64(c[row * 4 + 1], a, b1);
-                c[row * 4 + 2] = vfmsq_f64(c[row * 4 + 2], a, b2);
-                c[row * 4 + 3] = vfmsq_f64(c[row * 4 + 3], a, b3);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (i, v) in c.into_iter().enumerate() {
-            vst1q_f64(p.add(i * 2), v);
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -865,18 +569,6 @@ mod arm_entry {
         // SAFETY: as above.
         unsafe { arm::neon_mul_sub(a, b, acc) }
     }
-
-    #[cfg(feature = "fast-math")]
-    pub(super) fn neon_fma_mul_add(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: as above.
-        unsafe { arm::neon_fma_mul_add(a, b, acc) }
-    }
-
-    #[cfg(feature = "fast-math")]
-    pub(super) fn neon_fma_mul_sub(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: as above.
-        unsafe { arm::neon_fma_mul_sub(a, b, acc) }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -887,13 +579,6 @@ static SCALAR: Kernel = Kernel {
     kind: KernelKind::Scalar,
     mul_add: scalar_mul_add,
     mul_sub: scalar_mul_sub,
-};
-
-#[cfg(feature = "fast-math")]
-static SCALAR_FMA: Kernel = Kernel {
-    kind: KernelKind::ScalarFma,
-    mul_add: scalar_fma_mul_add,
-    mul_sub: scalar_fma_mul_sub,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -910,13 +595,6 @@ static AVX2: Kernel = Kernel {
     mul_sub: x86_entry::avx2_mul_sub,
 };
 
-#[cfg(all(target_arch = "x86_64", feature = "fast-math"))]
-static AVX2_FMA: Kernel = Kernel {
-    kind: KernelKind::Avx2Fma,
-    mul_add: x86_entry::avx2_fma_mul_add,
-    mul_sub: x86_entry::avx2_fma_mul_sub,
-};
-
 #[cfg(target_arch = "aarch64")]
 static NEON: Kernel = Kernel {
     kind: KernelKind::Neon,
@@ -924,18 +602,10 @@ static NEON: Kernel = Kernel {
     mul_sub: arm_entry::neon_mul_sub,
 };
 
-#[cfg(all(target_arch = "aarch64", feature = "fast-math"))]
-static NEON_FMA: Kernel = Kernel {
-    kind: KernelKind::NeonFma,
-    mul_add: arm_entry::neon_fma_mul_add,
-    mul_sub: arm_entry::neon_fma_mul_sub,
-};
-
 /// Looks a kernel up by kind, returning `None` when it is not compiled
-/// into this build (wrong architecture, or an FMA variant without the
-/// `fast-math` feature) or its ISA extension was not detected on this
-/// host. Detection runs once per kind (the `std` detection macro caches
-/// internally).
+/// into this build (wrong architecture) or its ISA extension was not
+/// detected on this host. Detection runs once per kind (the `std`
+/// detection macro caches internally).
 pub fn kernel(kind: KernelKind) -> Option<&'static Kernel> {
     match kind {
         KernelKind::Scalar => Some(&SCALAR),
@@ -945,20 +615,11 @@ pub fn kernel(kind: KernelKind) -> Option<&'static Kernel> {
         KernelKind::Avx2 => is_x86_feature_detected!("avx2").then_some(&AVX2),
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => Some(&NEON),
-        #[cfg(feature = "fast-math")]
-        KernelKind::ScalarFma => Some(&SCALAR_FMA),
-        #[cfg(all(target_arch = "x86_64", feature = "fast-math"))]
-        KernelKind::Avx2Fma => (is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma"))
-        .then_some(&AVX2_FMA),
-        #[cfg(all(target_arch = "aarch64", feature = "fast-math"))]
-        KernelKind::NeonFma => Some(&NEON_FMA),
         _ => None,
     }
 }
 
-/// Every kernel available on this host and build, best strict kernel
-/// first, FMA variants (if compiled in) after the strict ones. The first
+/// Every kernel available on this host and build, best first. The first
 /// entry is what detection-based dispatch selects.
 pub fn available() -> Vec<&'static Kernel> {
     let order = [
@@ -966,108 +627,60 @@ pub fn available() -> Vec<&'static Kernel> {
         KernelKind::Neon,
         KernelKind::Sse2,
         KernelKind::Scalar,
-        KernelKind::Avx2Fma,
-        KernelKind::NeonFma,
-        KernelKind::ScalarFma,
     ];
     order.into_iter().filter_map(kernel).collect()
 }
 
+/// The names of [`available`], `/`-separated, for error messages.
+fn available_names() -> String {
+    available()
+        .iter()
+        .map(|k| k.name())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Parses a `DFR_KERNEL` value: an available kernel, or unset/blank.
+fn kernel_from_env(raw: Option<&str>) -> Option<&'static Kernel> {
+    let parse = |s: &str| KernelKind::parse(s).and_then(kernel);
+    let accepted = format!("one of {}", available_names());
+    dfr_pool::knob::parse_env("DFR_KERNEL", raw, parse, &accepted)
+}
+
 /// The process default: `DFR_KERNEL` if set (panicking on an unknown or
-/// unavailable value — a differential-CI override must never silently
-/// fall back), otherwise the best detected strict kernel.
+/// unavailable value), otherwise the best detected kernel.
 fn default_kernel() -> &'static Kernel {
     static DEFAULT: OnceLock<&'static Kernel> = OnceLock::new();
     DEFAULT.get_or_init(|| {
-        if let Ok(v) = std::env::var("DFR_KERNEL") {
-            let v = v.trim();
-            if !v.is_empty() {
-                let kind = KernelKind::parse(v).unwrap_or_else(|| {
-                    panic!(
-                        "DFR_KERNEL={v}: unknown kernel; expected one of {}",
-                        KernelKind::ALL.map(KernelKind::name).join("/")
-                    )
-                });
-                return kernel(kind).unwrap_or_else(|| {
-                    panic!(
-                        "DFR_KERNEL={v}: kernel unavailable on this host/build \
-                         (available: {})",
-                        available()
-                            .iter()
-                            .map(|k| k.name())
-                            .collect::<Vec<_>>()
-                            .join("/")
-                    )
-                });
-            }
-        }
-        *available().first().expect("scalar is always available")
+        kernel_from_env(std::env::var("DFR_KERNEL").ok().as_deref())
+            .unwrap_or_else(|| *available().first().expect("scalar is always available"))
     })
 }
 
-/// Process-wide override installed by [`set_kernel`]; 0 means unset,
-/// otherwise `KernelKind::ALL` index + 1.
-static GLOBAL_KERNEL: AtomicU8 = AtomicU8::new(0);
-
 thread_local! {
-    /// Thread-local override installed by [`with_kernel`]; same encoding
-    /// as [`GLOBAL_KERNEL`].
-    static LOCAL_KERNEL: Cell<u8> = const { Cell::new(0) };
-}
-
-/// Decodes an override cell (index + 1 into [`KernelKind::ALL`]).
-/// Overrides are validated against [`kernel`] before being stored, so the
-/// lookup cannot fail.
-fn decode(code: u8) -> &'static Kernel {
-    let kind = KernelKind::ALL[(code - 1) as usize];
-    kernel(kind).expect("override was validated when installed")
-}
-
-/// Validates an override and returns its cell encoding.
-fn encode(kind: KernelKind) -> u8 {
-    assert!(
-        kernel(kind).is_some(),
-        "kernel {} unavailable on this host/build (available: {})",
-        kind.name(),
-        available()
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
-    let idx = KernelKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("ALL contains every kind");
-    (idx + 1) as u8
+    /// Thread-local override installed by [`with_kernel`].
+    static LOCAL_KERNEL: Cell<Option<&'static Kernel>> = const { Cell::new(None) };
 }
 
 /// The kernel products started from this thread will use.
 ///
-/// Resolution order: [`with_kernel`] override → [`set_kernel`] override →
-/// `DFR_KERNEL` → best detected strict kernel.
+/// Resolution order: [`with_kernel`] override → `DFR_KERNEL` → best
+/// detected kernel.
 pub fn active() -> &'static Kernel {
-    let local = LOCAL_KERNEL.with(Cell::get);
-    if local != 0 {
-        return decode(local);
-    }
-    let global = GLOBAL_KERNEL.load(Ordering::Relaxed);
-    if global != 0 {
-        return decode(global);
-    }
-    default_kernel()
+    LOCAL_KERNEL.with(Cell::get).unwrap_or_else(default_kernel)
 }
 
 /// Runs `f` with products resolved from this thread pinned to `kind`,
-/// restoring the previous setting afterwards — the scoped, race-free form
-/// differential tests use (mirrors [`dfr_pool::with_threads`]).
+/// restoring the previous setting afterwards, even if `f` unwinds — the
+/// scoped, race-free form differential tests use (mirrors
+/// [`dfr_pool::with_threads`]).
 ///
 /// Products resolve their kernel at entry on the calling thread and carry
 /// it into their parallel bands, so the override covers a directly-called
 /// product's whole fan-out. It does **not** reach products issued from
 /// inside pool workers (nested parallelism); pin
-/// `dfr_pool::with_threads(1, …)` around such flows or use [`set_kernel`]
-/// / `DFR_KERNEL` for whole-process runs.
+/// `dfr_pool::with_threads(1, …)` around such flows or use `DFR_KERNEL`
+/// for whole-process runs.
 ///
 /// # Panics
 ///
@@ -1082,38 +695,14 @@ pub fn active() -> &'static Kernel {
 /// assert_eq!(name, "scalar");
 /// ```
 pub fn with_kernel<R>(kind: KernelKind, f: impl FnOnce() -> R) -> R {
-    /// Restores the previous override even when `f` unwinds (property-test
-    /// harnesses catch panics and keep running on the same thread).
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL_KERNEL.with(|c| c.set(self.0));
-        }
-    }
-    let code = encode(kind);
-    let _restore = Restore(LOCAL_KERNEL.with(|c| c.replace(code)));
-    f()
-}
-
-/// Installs (or with `None` clears) the process-wide kernel override.
-///
-/// Intended for binaries translating a `--kernel` flag and for end-to-end
-/// flows whose products run inside pool workers; tests should prefer the
-/// scoped, race-free [`with_kernel`]. Note the same caveat as
-/// `dfr_pool::set_threads`: the override is briefly visible to anything
-/// else running in the process — harmless for strict kernels (bit-
-/// identical by contract), but do not flip an FMA kernel on globally
-/// while concurrent code asserts bit equality.
-///
-/// # Panics
-///
-/// Panics if `kind` is unavailable on this host/build.
-pub fn set_kernel(kind: Option<KernelKind>) {
-    let code = match kind {
-        Some(k) => encode(k),
-        None => 0,
-    };
-    GLOBAL_KERNEL.store(code, Ordering::Relaxed);
+    let kern = kernel(kind).unwrap_or_else(|| {
+        panic!(
+            "kernel {} unavailable on this host/build (available: {})",
+            kind.name(),
+            available_names()
+        )
+    });
+    dfr_pool::knob::scoped(&LOCAL_KERNEL, kern, f)
 }
 
 #[cfg(test)]
@@ -1167,10 +756,10 @@ mod tests {
     }
 
     #[test]
-    fn every_strict_kernel_matches_the_scalar_chain_bitwise() {
+    fn every_kernel_matches_the_scalar_chain_bitwise() {
         for k in [0usize, 1, 5, 63, 64, 65] {
             let (a, b, seed) = panels(k);
-            for kern in available().into_iter().filter(|k| k.is_strict()) {
+            for kern in available() {
                 let mut add = seed;
                 (kern.mul_add)(&a, &b, &mut add);
                 let want_add = reference(&a, &b, k, &seed, false);
@@ -1197,31 +786,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fast-math")]
-    #[test]
-    fn fma_kernels_stay_within_relative_tolerance_of_scalar() {
-        for k in [1usize, 5, 64, 65] {
-            let (a, b, seed) = panels(k);
-            let mut strict = seed;
-            scalar_mul_add(&a, &b, &mut strict);
-            for kern in available().into_iter().filter(|k| !k.is_strict()) {
-                let mut fused = seed;
-                (kern.mul_add)(&a, &b, &mut fused);
-                for i in 0..MR {
-                    for j in 0..NR {
-                        let (s, f) = (strict[i][j], fused[i][j]);
-                        let tol = 1e-12 * s.abs().max(1.0);
-                        assert!(
-                            (s - f).abs() <= tol,
-                            "{} k={k} tile ({i},{j}): strict {s} vs fused {f}",
-                            kern.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn parse_and_names_round_trip() {
         for kind in KernelKind::ALL {
@@ -1232,42 +796,35 @@ mod tests {
             );
         }
         assert_eq!(KernelKind::parse("avx512"), None);
-        assert!(KernelKind::Scalar.is_strict());
-        assert!(!KernelKind::Avx2Fma.is_strict());
     }
 
     #[test]
-    fn scalar_is_always_available_and_first_entry_is_strict() {
+    fn scalar_is_always_available() {
         assert!(kernel(KernelKind::Scalar).is_some());
-        let avail = available();
-        assert!(!avail.is_empty());
-        assert!(avail[0].is_strict(), "detection must pick a strict kernel");
+        assert!(available().iter().any(|k| k.kind() == KernelKind::Scalar));
     }
 
     #[test]
-    fn with_kernel_overrides_and_restores() {
-        let before = active().kind();
-        with_kernel(KernelKind::Scalar, || {
-            assert_eq!(active().kind(), KernelKind::Scalar);
-            // Nested overrides stack.
-            with_kernel(KernelKind::Scalar, || {
-                assert_eq!(active().kind(), KernelKind::Scalar);
-            });
-        });
-        assert_eq!(active().kind(), before);
+    fn dfr_kernel_parses_available_kernels_and_panics_otherwise() {
+        assert!(kernel_from_env(None).is_none());
+        assert!(kernel_from_env(Some("")).is_none());
+        let kind = |raw| kernel_from_env(Some(raw)).map(Kernel::kind);
+        assert_eq!(kind(" scalar\t"), Some(KernelKind::Scalar));
+        assert_eq!(kind("SCALAR"), Some(KernelKind::Scalar));
+        for bad in ["avx512", "avx2-fma", "scalar-fma"] {
+            let err = std::panic::catch_unwind(|| kernel_from_env(Some(bad)))
+                .expect_err(bad)
+                .downcast::<String>()
+                .unwrap();
+            let want = format!("DFR_KERNEL={bad}: expected one of {}", available_names());
+            assert_eq!(*err, want);
+        }
     }
 
     #[test]
-    fn set_kernel_is_visible_and_clearable() {
-        // Run on a scratch thread (global override is process-visible;
-        // strict kernels are interchangeable by contract, but keep the
-        // window minimal — mirrors the bench `apply_threads` test).
-        std::thread::spawn(|| {
-            set_kernel(Some(KernelKind::Scalar));
-            assert_eq!(active().kind(), KernelKind::Scalar);
-            set_kernel(None);
-        })
-        .join()
-        .unwrap();
+    fn with_kernel_is_what_active_returns() {
+        for kern in available() {
+            assert_eq!(with_kernel(kern.kind(), || active().kind()), kern.kind());
+        }
     }
 }

@@ -9,10 +9,9 @@
 //!   every dense product routes through (see `DESIGN.md` §10), with
 //!   [`GemmWorkspace`] owning the reusable packing buffers.
 //! * [`kernels`] — runtime-dispatched SIMD microkernels (AVX2/SSE2/NEON
-//!   with a scalar floor, `DESIGN.md` §13): every strict kernel is
-//!   bitwise identical to scalar, selected once per process and
-//!   overridable via `DFR_KERNEL` / [`kernels::with_kernel`] /
-//!   [`kernels::set_kernel`].
+//!   with a scalar floor, `DESIGN.md` §13): every kernel is bitwise
+//!   identical to scalar, selected once per process and overridable via
+//!   `DFR_KERNEL` / [`kernels::with_kernel`].
 //! * [`cholesky`] — blocked Cholesky factorisation and solves for
 //!   symmetric positive-definite systems, used by the ridge-regression
 //!   readout, plus a cheap 1-norm reciprocal-condition estimate.
@@ -20,8 +19,8 @@
 //!   numerically robust fallbacks behind the readout solver escalation
 //!   (`DESIGN.md` §15).
 //! * [`solver`] — the [`solver::SolverPolicy`] (Cholesky → QR → SVD)
-//!   with kernel-style dispatch (`DFR_SOLVER` / [`solver::set_solver`] /
-//!   [`solver::with_solver`]) and the per-solve [`solver::SolverReport`].
+//!   with kernel-style dispatch (`DFR_SOLVER` / [`solver::with_solver`])
+//!   and the per-solve [`solver::SolverReport`].
 //! * [`ridge`] — ridge regression in both primal and dual form with
 //!   automatic selection based on the problem shape.
 //! * [`activation`] — numerically stable softmax / log-sum-exp and the

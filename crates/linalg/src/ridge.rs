@@ -273,8 +273,7 @@ impl<'a> RidgePlan<'a> {
     /// allocation-free sweep step.
     ///
     /// The backend is chosen by the active [`SolverPolicy`] (resolution:
-    /// [`solver::with_solver`] → [`solver::set_solver`] → `DFR_SOLVER` →
-    /// [`SolverPolicy::Auto`]); [`RidgePlan::last_report`] records what
+    /// [`solver::with_solver`] → `DFR_SOLVER` → [`SolverPolicy::Auto`]); [`RidgePlan::last_report`] records what
     /// happened. Whenever Cholesky accepts the system and its condition
     /// estimate passes, the result is bitwise identical to the historical
     /// Cholesky-only path.

@@ -20,14 +20,13 @@
 //! ([`crate::LinalgError::NonFinite`] is terminal), mirroring the serving
 //! layer's pre-admission `BadInput` quarantine.
 //!
-//! Selection mirrors the §13 kernel dispatch exactly: a scoped
-//! [`with_solver`] override, then the process-wide [`set_solver`], then
-//! the `DFR_SOLVER` environment variable (parsed once, panicking on an
+//! Selection mirrors the §13 kernel dispatch exactly, on the same
+//! `dfr_pool::knob` helpers: a scoped [`with_solver`] override, then the
+//! `DFR_SOLVER` environment variable (parsed once, panicking on an
 //! unknown value — a differential-CI override must never silently fall
 //! back), then the [`SolverPolicy::Auto`] default.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::LinalgError;
@@ -136,74 +135,45 @@ impl SolverReport {
     }
 }
 
+/// Parses a `DFR_SOLVER` value: a policy name, or unset/blank.
+fn policy_from_env(raw: Option<&str>) -> Option<SolverPolicy> {
+    let accepted = format!(
+        "one of {}",
+        SolverPolicy::ALL.map(SolverPolicy::name).join("/")
+    );
+    dfr_pool::knob::parse_env("DFR_SOLVER", raw, SolverPolicy::parse, &accepted)
+}
+
 /// The process default: `DFR_SOLVER` if set (panicking on an unknown
 /// value), otherwise [`SolverPolicy::Auto`].
 fn default_policy() -> SolverPolicy {
     static DEFAULT: OnceLock<SolverPolicy> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        if let Ok(v) = std::env::var("DFR_SOLVER") {
-            let v = v.trim();
-            if !v.is_empty() {
-                return SolverPolicy::parse(v).unwrap_or_else(|| {
-                    panic!(
-                        "DFR_SOLVER={v}: unknown solver; expected one of {}",
-                        SolverPolicy::ALL.map(SolverPolicy::name).join("/")
-                    )
-                });
-            }
-        }
-        SolverPolicy::Auto
+        policy_from_env(std::env::var("DFR_SOLVER").ok().as_deref()).unwrap_or_default()
     })
 }
 
-/// Process-wide override installed by [`set_solver`]; 0 means unset,
-/// otherwise `SolverPolicy::ALL` index + 1.
-static GLOBAL_SOLVER: AtomicU8 = AtomicU8::new(0);
-
 thread_local! {
-    /// Thread-local override installed by [`with_solver`]; same encoding
-    /// as [`GLOBAL_SOLVER`].
-    static LOCAL_SOLVER: Cell<u8> = const { Cell::new(0) };
-}
-
-/// Decodes an override cell (index + 1 into [`SolverPolicy::ALL`]).
-fn decode(code: u8) -> SolverPolicy {
-    SolverPolicy::ALL[(code - 1) as usize]
-}
-
-/// Returns a policy's cell encoding.
-fn encode(policy: SolverPolicy) -> u8 {
-    let idx = SolverPolicy::ALL
-        .iter()
-        .position(|p| *p == policy)
-        .expect("ALL contains every policy");
-    (idx + 1) as u8
+    /// Thread-local override installed by [`with_solver`].
+    static LOCAL_SOLVER: Cell<Option<SolverPolicy>> = const { Cell::new(None) };
 }
 
 /// The policy ridge solves started from this thread will use.
 ///
-/// Resolution order: [`with_solver`] override → [`set_solver`] override →
-/// `DFR_SOLVER` → [`SolverPolicy::Auto`].
+/// Resolution order: [`with_solver`] override → `DFR_SOLVER` →
+/// [`SolverPolicy::Auto`].
 pub fn active() -> SolverPolicy {
-    let local = LOCAL_SOLVER.with(Cell::get);
-    if local != 0 {
-        return decode(local);
-    }
-    let global = GLOBAL_SOLVER.load(Ordering::Relaxed);
-    if global != 0 {
-        return decode(global);
-    }
-    default_policy()
+    LOCAL_SOLVER.with(Cell::get).unwrap_or_else(default_policy)
 }
 
 /// Runs `f` with ridge solves resolved from this thread pinned to
-/// `policy`, restoring the previous setting afterwards — the scoped,
-/// race-free form the solver-differential tests use (mirrors
-/// [`crate::kernels::with_kernel`]).
+/// `policy`, restoring the previous setting afterwards, even if `f`
+/// unwinds — the scoped, race-free form the solver-differential tests use
+/// (mirrors [`crate::kernels::with_kernel`]).
 ///
 /// Solves resolve their policy at entry on the calling thread; the
 /// override does **not** reach solves issued from inside pool workers —
-/// use [`set_solver`] / `DFR_SOLVER` for whole-process runs.
+/// use `DFR_SOLVER` for whole-process runs.
 ///
 /// # Example
 ///
@@ -214,30 +184,7 @@ pub fn active() -> SolverPolicy {
 /// assert_eq!(name, "qr");
 /// ```
 pub fn with_solver<R>(policy: SolverPolicy, f: impl FnOnce() -> R) -> R {
-    /// Restores the previous override even when `f` unwinds (the property
-    /// harness catches panics and keeps running on the same thread).
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL_SOLVER.with(|c| c.set(self.0));
-        }
-    }
-    let code = encode(policy);
-    let _restore = Restore(LOCAL_SOLVER.with(|c| c.replace(code)));
-    f()
-}
-
-/// Installs (or with `None` clears) the process-wide solver override.
-///
-/// Intended for binaries translating a `--solver` flag and for end-to-end
-/// flows whose solves run inside pool workers; tests should prefer the
-/// scoped, race-free [`with_solver`].
-pub fn set_solver(policy: Option<SolverPolicy>) {
-    let code = match policy {
-        Some(p) => encode(p),
-        None => 0,
-    };
-    GLOBAL_SOLVER.store(code, Ordering::Relaxed);
+    dfr_pool::knob::scoped(&LOCAL_SOLVER, policy, f)
 }
 
 #[cfg(test)]
@@ -260,26 +207,32 @@ mod tests {
     }
 
     #[test]
-    fn with_solver_is_scoped_and_restores() {
-        let before = active();
-        let inner = with_solver(SolverPolicy::Fixed(SolverKind::Svd), || {
-            // Nested override shadows, then restores.
-            let nested = with_solver(SolverPolicy::Fixed(SolverKind::Cholesky), active);
-            assert_eq!(nested, SolverPolicy::Fixed(SolverKind::Cholesky));
-            active()
-        });
-        assert_eq!(inner, SolverPolicy::Fixed(SolverKind::Svd));
-        assert_eq!(active(), before);
+    fn with_solver_is_what_active_returns() {
+        for p in SolverPolicy::ALL {
+            assert_eq!(with_solver(p, active), p);
+        }
     }
 
     #[test]
-    fn with_solver_restores_on_unwind() {
-        let before = active();
-        let result = std::panic::catch_unwind(|| {
-            with_solver(SolverPolicy::Fixed(SolverKind::Qr), || panic!("boom"))
-        });
-        assert!(result.is_err());
-        assert_eq!(active(), before);
+    fn dfr_solver_parses_policy_names_and_panics_otherwise() {
+        assert_eq!(policy_from_env(None), None);
+        assert_eq!(policy_from_env(Some("")), None);
+        assert_eq!(
+            policy_from_env(Some(" qr\n")),
+            Some(SolverPolicy::Fixed(SolverKind::Qr))
+        );
+        assert_eq!(
+            policy_from_env(Some("SVD")),
+            Some(SolverPolicy::Fixed(SolverKind::Svd))
+        );
+        for bad in ["lu", "avx2-fma"] {
+            let err = std::panic::catch_unwind(|| policy_from_env(Some(bad)))
+                .expect_err(bad)
+                .downcast::<String>()
+                .unwrap();
+            let want = format!("DFR_SOLVER={bad}: expected one of auto/cholesky/qr/svd");
+            assert_eq!(*err, want);
+        }
     }
 
     #[test]

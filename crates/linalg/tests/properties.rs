@@ -120,7 +120,7 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
 }
 
 /// The §13 kernel-differential suite: every product, every available
-/// *strict* kernel, pinned **bitwise** against the scalar kernel (itself
+/// kernel, pinned **bitwise** against the scalar kernel (itself
 /// pinned against the naive `i-k-j` reference above) over output dims
 /// `1..=9 × 1..=17` crossed with `k ∈ {1, 63, 64, 65}` — small enough to
 /// exercise every ragged-tile mask, with `k` straddling the `K_BLOCK`
@@ -129,7 +129,7 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
 /// (the keyed thread-local fallback is exercised by the `_into` forms).
 #[test]
 fn products_bit_identical_across_all_kernels() {
-    let kernels: Vec<_> = available().into_iter().filter(|k| k.is_strict()).collect();
+    let kernels = available();
     assert!(!kernels.is_empty());
     let mut out = Matrix::zeros(0, 0);
     for m in 1..=9usize {
@@ -169,7 +169,7 @@ fn products_bit_identical_across_all_kernels() {
 
 /// The blocked Cholesky's trailing update runs through the dispatched
 /// subtractive microkernel — factors (and the first failing pivot) must be
-/// bitwise identical under every strict kernel, at sizes spanning the NB
+/// bitwise identical under every kernel, at sizes spanning the NB
 /// panel boundary.
 #[test]
 fn cholesky_bit_identical_across_all_kernels() {
@@ -180,43 +180,13 @@ fn cholesky_bit_identical_across_all_kernels() {
             a[(i, i)] += n as f64;
         }
         let reference = with_kernel(KernelKind::Scalar, || Cholesky::factor(&a).unwrap());
-        for kernel in available().into_iter().filter(|k| k.is_strict()) {
+        for kernel in available() {
             let got = with_kernel(kernel.kind(), || Cholesky::factor(&a).unwrap());
             assert_bits_eq(
                 got.factor_u(),
                 reference.factor_u(),
                 &format!("{} cholesky n={n}", kernel.name()),
             );
-        }
-    }
-}
-
-/// Tolerance oracle for the opt-in FMA kernels (`fast-math` builds only):
-/// fused results are *not* bit-identical, but every element must stay
-/// within a tight relative error of the strict scalar chain — each fused
-/// step replaces two correctly-rounded ops with one, so the divergence is
-/// bounded by ~k·ε relative to the accumulated magnitude.
-#[cfg(feature = "fast-math")]
-#[test]
-fn fma_kernels_track_strict_results_within_tolerance() {
-    let fused: Vec<_> = available().into_iter().filter(|k| !k.is_strict()).collect();
-    assert!(!fused.is_empty(), "fast-math builds always have scalar-fma");
-    for (m, n, k) in [(9, 17, 65), (5, 3, 64), (1, 1, 63), (8, 8, 1)] {
-        let a = filled(m, k, 1.1);
-        let b = filled(k, n, 2.2);
-        let strict = with_kernel(KernelKind::Scalar, || a.matmul(&b).unwrap());
-        for kernel in &fused {
-            let got = with_kernel(kernel.kind(), || a.matmul(&b).unwrap());
-            for (g, s) in got.as_slice().iter().zip(strict.as_slice()) {
-                // ~k·ε headroom on the element magnitude (entries are O(1),
-                // so |s| + k bounds the accumulated magnitude).
-                let tol = 1e-13 * (s.abs() + k as f64);
-                assert!(
-                    (g - s).abs() <= tol,
-                    "{} {m}x{k}x{n}: {g} vs {s} (tol {tol:e})",
-                    kernel.name()
-                );
-            }
         }
     }
 }

@@ -35,8 +35,12 @@
 //!    to pin a region to an exact width),
 //! 2. a process-wide override installed by [`set_threads`] (used by the
 //!    experiment binaries' `--threads` flag),
-//! 3. the `DFR_THREADS` environment variable,
+//! 3. the `DFR_THREADS` environment variable (a positive integer; any
+//!    other non-blank value panics on first use),
 //! 4. [`std::thread::available_parallelism`], sampled once per process.
+//!
+//! The per-thread override and the environment parsing are the [`knob`]
+//! helpers, which the kernel and solver selection in `dfr-linalg` share.
 //!
 //! A region inside a pool worker always runs serially (no nested fan-out),
 //! so outer layers — e.g. a dataset sweep — claim the threads and inner
@@ -55,6 +59,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod knob;
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -63,22 +69,23 @@ use std::sync::{Mutex, OnceLock};
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Thread-local override installed by [`with_threads`]; 0 means unset.
-    static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
+    /// Thread-local override installed by [`with_threads`].
+    static LOCAL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
     /// Nesting depth: > 0 on a pool worker thread, where parallel regions
     /// degrade to serial execution.
     static WORKER_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// `DFR_THREADS` parsed once; 0 means unset or unparsable.
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("DFR_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
-    })
+/// Parses a `DFR_THREADS` value: a positive integer, or unset/blank.
+fn threads_from_env(raw: Option<&str>) -> Option<usize> {
+    let parse = |s: &str| s.parse::<usize>().ok().filter(|&n| n > 0);
+    knob::parse_env("DFR_THREADS", raw, parse, "a positive integer")
+}
+
+/// `DFR_THREADS` parsed once per process.
+fn env_threads() -> Option<usize> {
+    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+    *ENV.get_or_init(|| threads_from_env(std::env::var("DFR_THREADS").ok().as_deref()))
 }
 
 /// [`std::thread::available_parallelism`] sampled once per process (1 if
@@ -95,20 +102,20 @@ fn host_threads() -> usize {
 /// `DFR_THREADS` → [`std::thread::available_parallelism`] → 1. The
 /// environment variable and the host count are each read once per
 /// process.
+///
+/// # Panics
+///
+/// Panics on first use if `DFR_THREADS` is set to anything but a positive
+/// integer (blank counts as unset).
 pub fn max_threads() -> usize {
-    let local = LOCAL_THREADS.with(Cell::get);
-    if local > 0 {
+    if let Some(local) = LOCAL_THREADS.with(Cell::get) {
         return local;
     }
     let global = GLOBAL_THREADS.load(Ordering::Relaxed);
     if global > 0 {
         return global;
     }
-    let env = env_threads();
-    if env > 0 {
-        return env;
-    }
-    host_threads()
+    env_threads().unwrap_or_else(host_threads)
 }
 
 /// Installs (or with `None` clears) the process-wide thread-count override.
@@ -120,7 +127,8 @@ pub fn set_threads(threads: Option<usize>) {
 }
 
 /// Runs `f` with parallel regions on this thread pinned to exactly
-/// `threads` workers, restoring the previous setting afterwards.
+/// `threads` workers (0 counts as 1), restoring the previous setting
+/// afterwards, even if `f` unwinds.
 ///
 /// The override is thread-local, so concurrent tests pinning different
 /// widths do not interfere.
@@ -132,16 +140,7 @@ pub fn set_threads(threads: Option<usize>) {
 /// assert_eq!(wide, 8);
 /// ```
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    /// Restores the previous override even when `f` unwinds (property-test
-    /// harnesses catch panics and keep running on the same thread).
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(LOCAL_THREADS.with(|c| c.replace(threads.max(1))));
-    f()
+    knob::scoped(&LOCAL_THREADS, threads.max(1), f)
 }
 
 /// [`with_threads`] with an optional width: `Some(n)` pins parallel
@@ -1048,35 +1047,26 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_restores_previous_value() {
-        // Everything runs under an outer local override: the local layer
-        // wins over the global one, so the concurrent global flip in
-        // local_override_wins_over_global cannot perturb these asserts.
-        with_threads(9, || {
-            assert_eq!(max_threads(), 9);
-            with_threads(3, || {
-                assert_eq!(max_threads(), 3);
-                with_threads(5, || assert_eq!(max_threads(), 5));
-                assert_eq!(max_threads(), 3);
-            });
-            assert_eq!(max_threads(), 9);
-        });
-    }
-
-    #[test]
-    fn with_threads_clamps_zero_to_one() {
+    fn with_threads_is_what_max_threads_returns() {
+        with_threads(3, || assert_eq!(max_threads(), 3));
         with_threads(0, || assert_eq!(max_threads(), 1));
     }
 
     #[test]
-    fn with_threads_restores_after_panic() {
-        // Outer local override for the same reason as
-        // with_threads_restores_previous_value.
-        with_threads(9, || {
-            let unwound = std::panic::catch_unwind(|| with_threads(6, || panic!("boom")));
-            assert!(unwound.is_err());
-            assert_eq!(max_threads(), 9);
-        });
+    fn dfr_threads_parses_positive_integers_and_panics_otherwise() {
+        assert_eq!(threads_from_env(None), None);
+        assert_eq!(threads_from_env(Some("")), None);
+        assert_eq!(threads_from_env(Some(" 4 ")), Some(4));
+        for bad in ["four", "FOUR", "0", "-2", "4 threads", "avx2-fma"] {
+            let err = std::panic::catch_unwind(|| threads_from_env(Some(bad)))
+                .expect_err(bad)
+                .downcast::<String>()
+                .unwrap();
+            assert_eq!(
+                *err,
+                format!("DFR_THREADS={bad}: expected a positive integer")
+            );
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl Mask {
     /// microkernel of [`dfr_linalg::gemm`] (per element a `k`-ascending
     /// dot over the channels, bitwise equal to the row-by-row loop it
     /// replaced), under whichever SIMD kernel
-    /// [`dfr_linalg::kernels::active`] dispatches — every strict kernel
+    /// [`dfr_linalg::kernels::active`] dispatches — every kernel
     /// yields the same bits, so the masked drive is kernel-independent.
     ///
     /// # Panics
@@ -183,7 +183,7 @@ mod tests {
         )
         .unwrap();
         let reference = with_kernel(dfr_linalg::kernels::KernelKind::Scalar, || m.apply(&series));
-        for kernel in available().into_iter().filter(|k| k.is_strict()) {
+        for kernel in available() {
             let got = with_kernel(kernel.kind(), || m.apply(&series));
             assert_eq!(got, reference, "kernel {}", kernel.name());
         }

@@ -91,7 +91,7 @@ fn predict_batch_matches_per_sample_bitwise_for_ragged_sizes() {
 }
 
 /// The §13 kernel-differential form of the batch contract: serving the
-/// same ragged workload under every available strict SIMD kernel yields
+/// same ragged workload under every available SIMD kernel yields
 /// bitwise-identical predictions and probabilities. Pool width is pinned
 /// to 1 because the thread-local `with_kernel` override does not reach
 /// products issued from inside pool workers; whole-process selection at
@@ -116,7 +116,7 @@ fn predict_batch_bit_identical_across_kernels() {
                 .collect()
         })
     });
-    for kernel in available().into_iter().filter(|k| k.is_strict()) {
+    for kernel in available() {
         dfr_pool::with_threads(1, || {
             with_kernel(kernel.kind(), || {
                 let r = session.predict_batch(&series).unwrap();
