@@ -1,9 +1,10 @@
-//! Shared plumbing for the benchmark harness binaries.
+//! Shared plumbing for the harness binaries and `perfbench`.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §6 for the experiment index); this library provides the
-//! common pieces: dataset preparation, a tiny CLI-flag parser and
-//! fixed-width table/CSV rendering.
+//! Each paper binary in `src/bin/` regenerates one table or figure of the
+//! paper (see `DESIGN.md` §6 for the experiment index); `bench_record`
+//! records the repository benchmark. This library provides the common
+//! pieces: dataset preparation, a tiny CLI-flag parser, fixed-width
+//! table/CSV rendering, JSON rendering and parsing, and sample summaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -114,19 +115,6 @@ pub fn apply_threads(args: &Args) -> usize {
     dfr_pool::max_threads()
 }
 
-/// Current git revision, or `"unknown"` outside a checkout — provenance
-/// for committed records.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Renders one JSON object from keys and pre-rendered JSON value fragments
 /// (use [`json_str`] / [`json_f64`] to render the values).
 pub fn json_object(fields: &[(&str, String)]) -> String {
@@ -165,10 +153,9 @@ pub fn json_f64(x: f64) -> String {
     }
 }
 
-/// A parsed JSON value — just enough JSON for the bench harness to read
-/// back its own records (`results/BENCH_*.json`) in the `bench-diff`
-/// regression gate and the `bench-all` merger. Recursive descent, no
-/// external deps; numbers are `f64` (all the harness ever writes).
+/// A parsed JSON value — just enough JSON to read `BENCHMARK.json`,
+/// perfbench's result lines and `bench_record`'s own record back.
+/// Recursive descent, no external deps; numbers are `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null` (the harness writes it for non-finite floats).
