@@ -31,7 +31,7 @@ const SEED: u64 = 1;
 const RECORD: &str = "results/BENCH_perfbench.json";
 
 /// One end-to-end metric of `BENCHMARK.json`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct Metric {
     name: String,
     higher_is_better: bool,
@@ -100,7 +100,7 @@ fn parse_benchmark(text: &str) -> Result<Benchmark, String> {
 }
 
 /// What one perfbench run reported.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct Run {
     /// `key=value` pairs of the `provenance:` line.
     provenance: Vec<(String, String)>,
@@ -201,6 +201,16 @@ enum Verdict {
     Ok,
     Worse,
     Unresolved,
+}
+
+impl Verdict {
+    fn name(self) -> &'static str {
+        match self {
+            Verdict::Ok => "ok",
+            Verdict::Worse => "worse",
+            Verdict::Unresolved => "unresolved",
+        }
+    }
 }
 
 fn verdict(metric: &Metric, record: &Summary, fresh: &Summary) -> Verdict {
@@ -318,12 +328,13 @@ fn diff(bench: &Benchmark, record: &Json, fresh: &Json) -> Result<bool, String> 
             let v = verdict(m, &a, &b);
             any_worse |= v == Verdict::Worse;
             println!(
-                "{workload:<12} {:<17} {:>14.6} {:>14.6} {:>7.1}% {:>7.0}%  {v:?}",
+                "{workload:<12} {:<17} {:>14.6} {:>14.6} {:>7.1}% {:>7.0}%  {}",
                 m.name,
                 a.median,
                 b.median,
                 (b.median / a.median - 1.0) * 100.0,
-                m.bound * 100.0
+                m.bound * 100.0,
+                v.name()
             );
         }
         let share = |w| Ok::<_, String>(num_of(w, "failed")? / num_of(w, "attempted")?.max(1.0));
@@ -331,11 +342,39 @@ fn diff(bench: &Benchmark, record: &Json, fresh: &Json) -> Result<bool, String> 
         let v = if b > a { Verdict::Worse } else { Verdict::Ok };
         any_worse |= v == Verdict::Worse;
         println!(
-            "{workload:<12} {:<17} {a:>14.6} {b:>14.6} {:>8} {:>8}  {v:?}",
-            "failed_share", "", ""
+            "{workload:<12} {:<17} {a:>14.6} {b:>14.6} {:>8} {:>8}  {}",
+            "failed_share",
+            "",
+            "",
+            v.name()
         );
     }
     Ok(any_worse)
+}
+
+/// Records the benchmark, or diffs a fresh run against `against`;
+/// `Ok(true)` when some row is worse.
+fn run(repeats: usize, against: Option<&str>) -> Result<bool, String> {
+    let text = std::fs::read_to_string("BENCHMARK.json")
+        .map_err(|e| format!("BENCHMARK.json: {e} (run from the repository root)"))?;
+    let bench = parse_benchmark(&text)?;
+    let record = match against {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            Some(Json::parse(&text)?)
+        }
+        None => None,
+    };
+    let fresh = measure(&bench, repeats)?;
+    match record {
+        Some(record) => diff(&bench, &record, &Json::parse(&fresh)?),
+        None => {
+            std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
+            std::fs::write(RECORD, fresh).map_err(|e| format!("{RECORD}: {e}"))?;
+            println!("wrote {RECORD}");
+            Ok(false)
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -343,41 +382,18 @@ fn main() -> ExitCode {
     let mut repeats = 7;
     let mut against = None;
     for pair in raw.chunks(2) {
-        match (pair[0].as_str(), pair.get(1)) {
+        match (pair[0].as_str(), pair.get(1).map(String::as_str)) {
             ("--repeats", Some(n)) if n.parse::<usize>().is_ok_and(|n| n > 0) => {
-                repeats = n.parse().expect("checked");
+                repeats = n.parse().expect("checked above");
             }
-            ("--diff", Some(path)) => against = Some(path.clone()),
+            ("--diff", Some(path)) => against = Some(path),
             _ => {
                 eprintln!("usage: bench_record [--repeats <n>] [--diff <record>]");
                 return ExitCode::from(2);
             }
         }
     }
-    let result = std::fs::read_to_string("BENCHMARK.json")
-        .map_err(|e| format!("BENCHMARK.json: {e} (run from the repository root)"))
-        .and_then(|text| parse_benchmark(&text))
-        .and_then(|bench| {
-            let record = match &against {
-                Some(path) => Some(
-                    std::fs::read_to_string(path)
-                        .map_err(|e| format!("{path}: {e}"))
-                        .and_then(|t| Json::parse(&t))?,
-                ),
-                None => None,
-            };
-            let fresh = measure(&bench, repeats)?;
-            match record {
-                Some(record) => diff(&bench, &record, &Json::parse(&fresh)?),
-                None => {
-                    std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-                    std::fs::write(RECORD, fresh).map_err(|e| format!("{RECORD}: {e}"))?;
-                    println!("wrote {RECORD}");
-                    Ok(false)
-                }
-            }
-        });
-    match result {
+    match run(repeats, against) {
         Ok(false) => ExitCode::SUCCESS,
         Ok(true) => ExitCode::FAILURE,
         Err(e) => {

@@ -14,8 +14,7 @@
 //!
 //! Every landscape evaluates its grid cells concurrently over the
 //! `dfr-pool` execution layer (`--threads` / `DFR_THREADS` set the width)
-//! and is bit-identical at every thread count; `parallel_bench` records
-//! the resulting wall-clock speedup in `results/BENCH_parallel.json`.
+//! and is bit-identical at every thread count.
 
 use dfr_bench::{
     apply_threads, ascii_heatmap, json_array, json_f64, json_object, prepared_dataset,

@@ -30,7 +30,7 @@
 //!   [`ModelRegistry::publish`]es — live traffic hot-swaps onto the new
 //!   readout at the next batch boundary.
 //! * [`Client`] — a small blocking client used by the tests and the
-//!   `server_bench` load generator, with built-in jittered-backoff
+//!   benchmark's serve workloads, with built-in jittered-backoff
 //!   retry ([`Client::call_with_retry`]) honoring the server's
 //!   `retry_after_ms` hints.
 //! * [`faults`] — deterministic, seeded fault injection (delayed/torn
