@@ -2,14 +2,14 @@
 //! `perfbench/`) and compares a fresh run against a record.
 //!
 //! ```text
-//! cargo run --release -p dfr-bench --bin bench_record [-- --repeats 7]
+//! cargo run --release -p dfr-bench --bin bench_record
 //! cargo run --release -p dfr-bench --bin bench_record -- \
 //!     --diff results/BENCH_perfbench.json
 //! ```
 //!
 //! Run from the repository root. The benchmark's command, run length,
 //! workloads and end-to-end bounds are read from `BENCHMARK.json`. Each
-//! workload runs untraced `--repeats` times (default 7), round-robin
+//! workload runs untraced 7 times, round-robin
 //! across workloads so that drift of the host spreads evenly over them,
 //! then once traced. Seed 1 is fixed. The record holds, per workload, the
 //! median, Q1, Q3 and n of every end-to-end metric, the per-layer values
@@ -17,17 +17,23 @@
 //! provenance perfbench prints.
 //!
 //! Without `--diff` the record is written to `results/BENCH_perfbench.json`.
-//! With `--diff <record>` nothing is written: every end-to-end metric of
-//! the fresh run is judged against its `BENCHMARK.json` bound as `ok`,
+//! With `--diff <record>` nothing is written. A record whose provenance
+//! differs from the fresh run's in anything but `git_rev` (another host
+//! size, kernel, pool width, solver, run length, seed or repeat count)
+//! is refused with exit status 2, since its numbers do not compare.
+//! Otherwise every end-to-end metric of the fresh run is judged against its `BENCHMARK.json` bound as `ok`,
 //! `worse`, or `unresolved` when either interquartile range, relative to
 //! its median, is wider than the bound. The failed-operation share is
-//! `worse` when it rises. Only a `worse` row makes the exit status
-//! non-zero.
+//! `worse` when it rises. Only a `worse` row makes the exit status 1.
+//! The verdict is only as good as the host is steady between the two
+//! runs: record and diff in one session, and claim a gain only from
+//! alternating parent/change pairs.
 
 use dfr_bench::{json_f64, json_object, json_str, Json};
 use std::process::{Command, ExitCode, Stdio};
 
 const SEED: u64 = 1;
+const REPEATS: usize = 7;
 const RECORD: &str = "results/BENCH_perfbench.json";
 
 /// One end-to-end metric of `BENCHMARK.json`.
@@ -250,15 +256,15 @@ fn run_perfbench(bench: &Benchmark, workload: &str, trace: bool) -> Result<Run, 
 }
 
 /// Runs the whole benchmark and renders its record.
-fn measure(bench: &Benchmark, repeats: usize) -> Result<String, String> {
-    let total = bench.workloads.len() * (repeats + 1);
+fn measure(bench: &Benchmark) -> Result<String, String> {
+    let total = bench.workloads.len() * (REPEATS + 1);
     let mut done = 0;
     let mut progress = |workload: &str, trace: bool| {
         done += 1;
         eprintln!("bench_record: [{done}/{total}] {workload} trace={trace}");
     };
     let mut untraced: Vec<Vec<Run>> = bench.workloads.iter().map(|_| Vec::new()).collect();
-    for _ in 0..repeats {
+    for _ in 0..REPEATS {
         for (workload, runs) in bench.workloads.iter().zip(&mut untraced) {
             progress(workload, false);
             runs.push(run_perfbench(bench, workload, false)?);
@@ -303,7 +309,7 @@ fn measure(bench: &Benchmark, repeats: usize) -> Result<String, String> {
         .filter(|(k, _)| k != "workload" && k != "trace")
         .map(|(k, v)| (k.as_str(), json_str(v)))
         .collect();
-    provenance.push(("repeats", repeats.to_string()));
+    provenance.push(("repeats", REPEATS.to_string()));
     Ok(format!(
         "{{\n  \"provenance\": {},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
         json_object(&provenance),
@@ -311,9 +317,44 @@ fn measure(bench: &Benchmark, repeats: usize) -> Result<String, String> {
     ))
 }
 
+/// The provenance entries, other than `git_rev`, on which two records
+/// differ, as `key: record → fresh`.
+fn provenance_differences(record: &Json, fresh: &Json) -> Result<Vec<String>, String> {
+    let entries = |doc| {
+        field(doc, "provenance")?
+            .as_object()
+            .ok_or_else(|| "`provenance` is not an object".to_string())
+    };
+    let (old, new) = (entries(record)?, entries(fresh)?);
+    let show = |side: &[(String, Json)], key: &str| match side.iter().find(|(k, _)| k == key) {
+        Some((_, Json::Str(s))) => s.clone(),
+        Some((_, Json::Num(x))) => x.to_string(),
+        Some((_, other)) => format!("{other:?}"),
+        None => "absent".to_string(),
+    };
+    let mut keys: Vec<&str> = Vec::new();
+    for (key, _) in old.iter().chain(new) {
+        if key != "git_rev" && !keys.contains(&key.as_str()) {
+            keys.push(key);
+        }
+    }
+    Ok(keys
+        .into_iter()
+        .filter(|k| show(old, k) != show(new, k))
+        .map(|k| format!("{k}: {} → {}", show(old, k), show(new, k)))
+        .collect())
+}
+
 /// Compares a fresh record against a committed one; `Ok(true)` when some
-/// row is worse.
+/// row is worse, an error when the provenances differ.
 fn diff(bench: &Benchmark, record: &Json, fresh: &Json) -> Result<bool, String> {
+    let differences = provenance_differences(record, fresh)?;
+    if !differences.is_empty() {
+        return Err(format!(
+            "the record's provenance differs from this run's ({}); its numbers do not compare",
+            differences.join(", ")
+        ));
+    }
     let mut any_worse = false;
     println!(
         "{:<12} {:<17} {:>14} {:>14} {:>8} {:>8}  verdict",
@@ -354,7 +395,7 @@ fn diff(bench: &Benchmark, record: &Json, fresh: &Json) -> Result<bool, String> 
 
 /// Records the benchmark, or diffs a fresh run against `against`;
 /// `Ok(true)` when some row is worse.
-fn run(repeats: usize, against: Option<&str>) -> Result<bool, String> {
+fn run(against: Option<&str>) -> Result<bool, String> {
     let text = std::fs::read_to_string("BENCHMARK.json")
         .map_err(|e| format!("BENCHMARK.json: {e} (run from the repository root)"))?;
     let bench = parse_benchmark(&text)?;
@@ -365,7 +406,7 @@ fn run(repeats: usize, against: Option<&str>) -> Result<bool, String> {
         }
         None => None,
     };
-    let fresh = measure(&bench, repeats)?;
+    let fresh = measure(&bench)?;
     match record {
         Some(record) => diff(&bench, &record, &Json::parse(&fresh)?),
         None => {
@@ -379,21 +420,15 @@ fn run(repeats: usize, against: Option<&str>) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut repeats = 7;
-    let mut against = None;
-    for pair in raw.chunks(2) {
-        match (pair[0].as_str(), pair.get(1).map(String::as_str)) {
-            ("--repeats", Some(n)) if n.parse::<usize>().is_ok_and(|n| n > 0) => {
-                repeats = n.parse().expect("checked above");
-            }
-            ("--diff", Some(path)) => against = Some(path),
-            _ => {
-                eprintln!("usage: bench_record [--repeats <n>] [--diff <record>]");
-                return ExitCode::from(2);
-            }
+    let against = match raw.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--diff" => Some(path.as_str()),
+        _ => {
+            eprintln!("usage: bench_record [--diff <record>]");
+            return ExitCode::from(2);
         }
-    }
-    match run(repeats, against) {
+    };
+    match run(against) {
         Ok(false) => ExitCode::SUCCESS,
         Ok(true) => ExitCode::FAILURE,
         Err(e) => {
@@ -529,6 +564,49 @@ end-to-end:
             verdict(&metric(true), &wide, &at(50.0)),
             Verdict::Unresolved
         );
+    }
+
+    #[test]
+    fn provenance_differences_ignore_only_the_git_rev() {
+        let record = Json::parse(
+            r#"{"provenance": {"git_rev": "a", "nproc": "2", "kernel": "avx2", "repeats": 7}}"#,
+        )
+        .unwrap();
+        let same_but_rev = Json::parse(
+            r#"{"provenance": {"git_rev": "b", "nproc": "2", "kernel": "avx2", "repeats": 7}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            provenance_differences(&record, &same_but_rev).unwrap(),
+            Vec::<String>::new()
+        );
+        let other_host = Json::parse(
+            r#"{"provenance": {"git_rev": "a", "nproc": "1", "repeats": 7, "solver": "qr"}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            provenance_differences(&record, &other_host).unwrap(),
+            [
+                "nproc: 2 → 1",
+                "kernel: avx2 → absent",
+                "solver: absent → qr"
+            ]
+        );
+    }
+
+    #[test]
+    fn diff_refuses_a_record_of_another_provenance() {
+        let bench = Benchmark {
+            command: vec!["true".into()],
+            run_seconds: 1.0,
+            workloads: Vec::new(),
+            end_to_end: Vec::new(),
+        };
+        let record = Json::parse(r#"{"provenance": {"git_rev": "a", "nproc": "2"}}"#).unwrap();
+        let fresh = Json::parse(r#"{"provenance": {"git_rev": "b", "nproc": "4"}}"#).unwrap();
+        let err = diff(&bench, &record, &fresh).unwrap_err();
+        assert!(err.contains("nproc: 2 → 4"), "{err}");
+        assert_eq!(diff(&bench, &record, &record), Ok(false));
     }
 
     #[test]

@@ -909,17 +909,18 @@ fn prequential_halves(kind: dfr_data::DriftKind, forget: f64) -> (f64, f64) {
             .expect("finite series");
         if i >= q {
             let half = usize::from(2 * i >= stream.len());
-            let score = |c: usize| {
-                bias[c]
-                    + w_out
-                        .row(c)
-                        .iter()
-                        .zip(&cache.features)
-                        .map(|(w, v)| w * v)
-                        .sum::<f64>()
-            };
-            // First maximum wins, as in `argmax`.
-            let guess = (1..q).fold(0, |best, c| if score(c) > score(best) { c } else { best });
+            let logits: Vec<f64> = (0..q)
+                .map(|c| {
+                    bias[c]
+                        + w_out
+                            .row(c)
+                            .iter()
+                            .zip(&cache.features)
+                            .map(|(w, v)| w * v)
+                            .sum::<f64>()
+                })
+                .collect();
+            let guess = dfr_linalg::stats::argmax(&logits).expect("q > 0");
             correct[half] += usize::from(guess == sample.label);
             counted[half] += 1;
         }
@@ -942,7 +943,7 @@ fn prequential_halves(kind: dfr_data::DriftKind, forget: f64) -> (f64, f64) {
 /// family, where the first distribution returns, no direction is
 /// claimed; the run must only keep its factor healthy.
 #[test]
-fn forgetting_beats_remembering_on_drifting_streams() {
+fn online_forgetting_beats_remembering_on_drifting_streams() {
     use dfr_data::DriftKind;
     with_solver(SolverPolicy::Auto, || {
         for kind in [DriftKind::Gradual, DriftKind::Abrupt] {
