@@ -333,8 +333,10 @@ fn ridge_plan_sweep_is_allocation_free_after_warmup() {
 /// warm-up, absorbing a sample (rank-1 Cholesky update of the
 /// intercept-augmented system), retracting one (rank-1 downdate) and
 /// refitting the readout off the warm factor all run without touching
-/// the allocator. Publishing is deliberately not pinned — freezing a
-/// model's byte layout is a fresh allocation by design.
+/// the allocator — on both Auto refit paths: the conditioning
+/// certificate answers before the first retract, Hager's vet after it.
+/// Publishing is deliberately not pinned — freezing a model's byte
+/// layout is a fresh allocation by design.
 #[test]
 fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
     dfr_pool::with_threads(1, || {
@@ -346,34 +348,53 @@ fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
                 *v = ((k * 31 + j * 7) as f64 * 0.173).sin();
             }
         };
+        // ‖φ‖² of φ = [x, 1]: the learner's `λ_max` bound gains it per absorb.
+        let phi_sq = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>() + 1.0;
         let mut w = Matrix::zeros(0, 0);
         let mut b = Vec::new();
         // One-hot targets prepared up front: building them inside the
         // measured region would charge the pin for test scaffolding.
         let targets: Vec<Vec<f64>> = (0..q).map(|c| one_hot(q, c)).collect();
-        // Warm-up: the rank-1 work vector, the solver scratch and the
-        // refit output buffers all reach their high-water marks.
+        // Warm-up: the rank-1 work vector and the refit output buffers
+        // reach their high-water marks. No retract here: it would lapse
+        // the certificate for good. The vet's work vector is sized at
+        // construction, so its first use inside the pin allocates nothing.
+        let mut hi = beta;
         for k in 0..4 {
             fill(&mut features, k);
             learner.absorb_label(&features, k % q).expect("absorb");
+            hi += phi_sq(&features);
         }
-        learner.retract(&features, &targets[3]).expect("retract");
-        learner.refit_into(&mut w, &mut b).expect("refit");
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .expect("refit");
 
+        // Per refit: the reported rcond and `β/(n·hi)`. The certificate
+        // never exceeds that ratio; Hager's estimate bounds the true rcond
+        // from above, which is at least `λ_min/(n·λ_max) > β/(n·hi)` while
+        // the system stays ⪰ βI, as retract-then-re-absorb keeps it.
+        let mut seen = [(0.0f64, 0.0f64); 4];
+        let n = (p + 1) as f64;
         let (allocs, ()) = count_allocs(|| {
             for k in 4..104 {
                 fill(&mut features, k);
                 learner.absorb_label(&features, k % q).expect("absorb");
-                if k % 10 == 0 {
+                hi += phi_sq(&features);
+                if k >= 30 && k % 10 == 0 {
                     // Retracting the sample just absorbed always leaves
                     // the system positive definite.
                     learner
                         .retract(&features, &targets[k % q])
                         .expect("retract");
                     learner.absorb_label(&features, k % q).expect("re-absorb");
+                    hi += phi_sq(&features);
                 }
                 if k % 25 == 0 {
-                    learner.refit_into(&mut w, &mut b).expect("refit");
+                    learner
+                        .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+                        .expect("refit");
+                    let rcond = learner.last_report().rcond.expect("auto rcond");
+                    seen[k / 25 - 1] = (rcond, beta / (n * hi));
                 }
             }
         });
@@ -382,6 +403,17 @@ fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
             "post-warm-up online absorb/retract/refit must not allocate ({allocs} allocations in 100 steps)"
         );
         assert!(!learner.factor_stale());
+        let (rcond, ceiling) = seen[0];
+        assert!(
+            rcond <= ceiling,
+            "refit before the first retract was not certified: rcond {rcond:e} > {ceiling:e}"
+        );
+        for (rcond, ceiling) in &seen[1..] {
+            assert!(
+                rcond > ceiling,
+                "refit after a retract was not vetted: rcond {rcond:e} <= {ceiling:e}"
+            );
+        }
     });
 }
 

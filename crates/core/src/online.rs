@@ -38,6 +38,12 @@ use dfr_linalg::{LinalgError, Matrix};
 
 use crate::CoreError;
 
+/// Headroom the conditioning certificate must keep above [`RCOND_MIN`]
+/// before a refit trusts it instead of running Hager's estimate: the
+/// certificate's rounding allowance is first order, so a certificate
+/// near the threshold hands over to the vet.
+const CERT_MARGIN: f64 = 16.0;
+
 /// An incrementally-refittable ridge readout over augmented features
 /// `φ = [x, 1]` (the intercept is one more regularised feature, matching
 /// the batch readout of [`crate::readout::fit_readout`]).
@@ -83,6 +89,12 @@ pub struct OnlineRidge {
     /// Set when an up/downdate failed (factor no longer matches `sys`);
     /// cleared when a refit re-factors `sys` successfully.
     factor_stale: bool,
+    /// Lower bound on `λ_min(S)` (Weyl): `β` at construction, `λ·lo` on
+    /// each forgetting decay, `lo − ‖φ‖²` on each retract.
+    lo: f64,
+    /// Upper bound on `λ_max(S)`: `β` at construction, `λ·hi + ‖φ‖²` on
+    /// each absorb.
+    hi: f64,
     /// Samples absorbed over the learner's lifetime.
     absorbed: u64,
     /// Samples retracted over the learner's lifetime.
@@ -98,7 +110,8 @@ pub struct OnlineRidge {
     onehot: Vec<f64>,
     /// Rotation scratch of the rank-1 recurrences.
     work: Vec<f64>,
-    /// Work vector of the rcond estimate.
+    /// Work vector of the rcond estimate, sized up front so the first
+    /// vet after the certificate lapses does not allocate.
     cond: Vec<f64>,
     /// Augmented weights `(p + 1) × q` of the most recent refit.
     w_aug: Matrix,
@@ -178,13 +191,15 @@ impl OnlineRidge {
             rhs: Matrix::zeros(n, targets),
             chol,
             factor_stale: false,
+            lo: beta,
+            hi: beta,
             absorbed: 0,
             retracted: 0,
             phi: vec![0.0; n],
             target: vec![0.0; targets],
             onehot: vec![0.0; targets],
             work: Vec::new(),
-            cond: Vec::new(),
+            cond: Vec::with_capacity(n),
             w_aug: Matrix::zeros(n, targets),
             qr: Qr::default(),
             svd: Svd::default(),
@@ -263,10 +278,19 @@ impl OnlineRidge {
     }
 
     /// Applies the staged `±φ` rank-1 term to `sys`/`rhs` (exact
-    /// bookkeeping, both triangles) and to the factor; a failed rotation
-    /// only marks the factor stale — the system itself is always correct.
+    /// bookkeeping, both triangles), to the eigenvalue bounds and to the
+    /// factor; a failed rotation only marks the factor stale — the system
+    /// itself is always correct.
     fn apply_staged(&mut self, target: &[f64], sign: f64) {
         let n = self.p + 1;
+        // Weyl: `+φφᵀ` cannot lower λ_min and raises λ_max by at most
+        // ‖φ‖²; `−φφᵀ` cannot raise λ_max and lowers λ_min by at most ‖φ‖².
+        let phi_sq: f64 = self.phi.iter().map(|v| v * v).sum();
+        if sign > 0.0 {
+            self.hi += phi_sq;
+        } else {
+            self.lo -= phi_sq;
+        }
         for i in 0..n {
             let phi_i = self.phi[i];
             let row = self.sys.row_mut(i);
@@ -315,6 +339,8 @@ impl OnlineRidge {
             for v in self.rhs.as_mut_slice() {
                 *v *= self.forget;
             }
+            self.lo *= self.forget;
+            self.hi *= self.forget;
             if !self.factor_stale && self.chol.scale(self.forget).is_err() {
                 self.factor_stale = true;
             }
@@ -398,13 +424,20 @@ impl OnlineRidge {
     /// [`OnlineRidge::refit_into`] under an explicit policy.
     ///
     /// The fast path solves with the incrementally maintained factor —
-    /// `O(p²q)` substitution plus (under Auto) an `O(p²)` rcond vet, no
-    /// factorisation at all. The slow path (stale factor, failed vet, or
-    /// a QR/SVD-pinned policy) runs the §15 escalation state machine on
-    /// the explicit system; a successful fresh Cholesky factorisation
-    /// un-stales the incremental factor as a side effect, so rank-1
-    /// maintenance resumes afterwards. [`OnlineRidge::last_report`]
-    /// records which backend answered.
+    /// `O(p²q)` substitution, no factorisation at all. Under Auto it first
+    /// needs the system's conditioning vouched for. A certificate carried
+    /// through absorbs (lower and upper eigenvalue bounds, updated by
+    /// Weyl's inequality in `O(p)` per sample) answers when it clears
+    /// `RCOND_MIN` sixteen-fold; otherwise (after a retract, after long
+    /// forgetting, on overflow) Hager's `O(p²)` rcond estimate vets the
+    /// factor as before. The report's `rcond` carries whichever answered:
+    /// the certificate is a lower bound on the true reciprocal condition,
+    /// Hager's estimate an upper one. The slow path (stale factor, failed
+    /// vet, or a QR/SVD-pinned policy) runs the §15 escalation state
+    /// machine on the explicit system; a successful fresh Cholesky
+    /// factorisation un-stales the incremental factor as a side effect,
+    /// so rank-1 maintenance resumes afterwards.
+    /// [`OnlineRidge::last_report`] records which backend answered.
     ///
     /// # Errors
     ///
@@ -434,7 +467,14 @@ impl OnlineRidge {
                     true
                 }
                 SolverPolicy::Auto => {
-                    let rcond = self.chol.rcond_1_est(self.sys.norm_1(), &mut self.cond);
+                    let cert = self.certificate();
+                    // An overflowed `hi` makes `cert` NaN, which fails
+                    // the comparison and falls back to the vet.
+                    let rcond = if cert >= CERT_MARGIN * RCOND_MIN {
+                        cert
+                    } else {
+                        self.chol.rcond_1_est(self.sys.norm_1(), &mut self.cond)
+                    };
                     report.rcond = Some(rcond);
                     if rcond >= RCOND_MIN {
                         self.chol
@@ -502,6 +542,25 @@ impl OnlineRidge {
         bias.clear();
         bias.extend_from_slice(self.w_aug.row(self.p));
         Ok(())
+    }
+
+    /// Certified lower bound on the 1-norm reciprocal condition of the
+    /// explicitly kept `sys`, from the eigenvalue bounds `lo`/`hi`.
+    ///
+    /// For symmetric `S`, `κ₁ ≤ n·κ₂ ≤ n·λ_max/λ_min`. Every rank-1 term
+    /// rounds each entry of `sys` twice (product, add), and under
+    /// forgetting the decay once more; with `N` terms that error has
+    /// 2-norm at most `N·ε·hi` (`ε` = [`f64::EPSILON`], twice the unit
+    /// roundoff; the decay's extra rounding counts as half a term), so
+    /// `λ_min(sys) ≥ lo − N·ε·hi`. Negative once a retract may have
+    /// removed more than `lo`; NaN once `hi` overflowed.
+    fn certificate(&self) -> f64 {
+        let mut terms = (self.absorbed + self.retracted) as f64;
+        if self.forget < 1.0 {
+            terms += 0.5 * self.absorbed as f64;
+        }
+        let n = (self.p + 1) as f64;
+        (self.lo - terms * f64::EPSILON * self.hi) / (n * self.hi)
     }
 
     /// Allocating convenience form of [`OnlineRidge::refit_into`].
@@ -711,6 +770,132 @@ mod tests {
         for (x1, x2) in b.iter().zip(&bb) {
             assert!((x1 - x2).abs() < 1e-7);
         }
+    }
+
+    /// Hager's estimate on the learner's current factor and system — what
+    /// the Auto vet computes.
+    fn hager(learner: &OnlineRidge) -> f64 {
+        learner
+            .chol
+            .rcond_1_est(learner.sys.norm_1(), &mut Vec::new())
+    }
+
+    /// Whether the last Auto refit was answered by the certificate (its
+    /// report carries the certificate bitwise) rather than by the vet.
+    fn certified(learner: &OnlineRidge) -> bool {
+        learner.last_report().rcond == Some(learner.certificate())
+    }
+
+    #[test]
+    fn certified_refits_agree_with_the_vet_and_fixed_cholesky() {
+        let (p, q, beta) = (48, 3, 1e-4);
+        let mut learner = OnlineRidge::new(p, q, beta).unwrap();
+        let (mut w, mut b) = (Matrix::zeros(0, 0), Vec::new());
+        let (mut w_chol, mut b_chol) = (Matrix::zeros(0, 0), Vec::new());
+        let mut refits = 0;
+        for i in 0..300 {
+            let (x, t) = sample(i, p, q);
+            learner.absorb(&x, &t).unwrap();
+            if i % 10 != 9 {
+                continue;
+            }
+            learner
+                .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+                .unwrap();
+            assert!(certified(&learner), "certificate lapsed at absorb {i}");
+            let report = learner.last_report().clone();
+            assert_eq!(report.used, Some(SolverKind::Cholesky));
+            assert!(!report.escalated);
+            let cert = report.rcond.unwrap();
+            let vet = hager(&learner);
+            assert!(vet >= RCOND_MIN, "vet {vet:e} would have escalated");
+            assert!(vet >= cert, "certificate {cert:e} above Hager's {vet:e}");
+            learner
+                .refit_into_with(
+                    &mut w_chol,
+                    &mut b_chol,
+                    SolverPolicy::Fixed(SolverKind::Cholesky),
+                )
+                .unwrap();
+            assert_eq!(w, w_chol, "certified weights differ at absorb {i}");
+            assert_eq!(b, b_chol);
+            refits += 1;
+        }
+        assert_eq!(refits, 30);
+    }
+
+    #[test]
+    fn forgetting_lapses_the_certificate_where_its_bounds_predict() {
+        let (p, q, beta, lambda) = (8, 2, 1e-2, 0.97);
+        let mut learner = OnlineRidge::with_forgetting(p, q, beta, lambda).unwrap();
+        let (mut w, mut b) = (Matrix::zeros(0, 0), Vec::new());
+        // The bounds replayed outside the learner: lo = λᵏβ, and hi
+        // decays then gains ‖φ‖² per absorb. Rounding terms aside, the
+        // certificate lapses once lo/(n·hi) < 16·RCOND_MIN.
+        let (mut lo, mut hi) = (beta, beta);
+        let mut predicted = None;
+        let mut lapsed = None;
+        for i in 0..800u64 {
+            let (x, t) = sample(i, p, q);
+            learner.absorb(&x, &t).unwrap();
+            lo *= lambda;
+            hi = lambda * hi + x.iter().map(|v| v * v).sum::<f64>() + 1.0;
+            if predicted.is_none() && lo / ((p + 1) as f64 * hi) < CERT_MARGIN * RCOND_MIN {
+                predicted = Some(i);
+            }
+            learner
+                .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+                .unwrap();
+            assert_eq!(learner.last_report().used, Some(SolverKind::Cholesky));
+            if lapsed.is_none() && !certified(&learner) {
+                lapsed = Some(i);
+            }
+            if lapsed.is_some() {
+                assert_eq!(
+                    learner.last_report().rcond.map(f64::to_bits),
+                    Some(hager(&learner).to_bits()),
+                    "absorb {i}: rcond is not Hager's estimate"
+                );
+            }
+        }
+        let predicted = predicted.expect("bounds predict a lapse within the stream");
+        let lapsed = lapsed.expect("certificate never lapsed");
+        // The rounding allowance `N·ε·hi`, which the replay leaves out,
+        // can only bring the lapse a few absorbs earlier.
+        assert!(
+            lapsed <= predicted && predicted - lapsed < 25,
+            "lapsed at absorb {lapsed}, bounds predict {predicted}"
+        );
+    }
+
+    #[test]
+    fn a_retraction_beyond_lo_hands_the_refit_back_to_the_vet() {
+        let (p, q, beta) = (6, 2, 1e-4);
+        let mut learner = OnlineRidge::new(p, q, beta).unwrap();
+        let (mut w, mut b) = (Matrix::zeros(0, 0), Vec::new());
+        for i in 0..20 {
+            let (x, t) = sample(i, p, q);
+            learner.absorb(&x, &t).unwrap();
+        }
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        assert!(certified(&learner));
+        // Any real sample carries ‖φ‖² ≥ 1 (the intercept) > lo = β.
+        let (x, t) = sample(7, p, q);
+        learner.retract(&x, &t).unwrap();
+        assert!(!learner.factor_stale());
+        assert!(learner.certificate() < 0.0);
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        let report = learner.last_report();
+        assert_eq!(
+            report.rcond.map(f64::to_bits),
+            Some(hager(&learner).to_bits())
+        );
+        assert_eq!(report.used, Some(SolverKind::Cholesky));
+        assert!(!report.escalated);
     }
 
     #[test]

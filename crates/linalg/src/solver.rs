@@ -122,7 +122,10 @@ pub struct SolverReport {
     /// Whether `Auto` moved past its first rung.
     pub escalated: bool,
     /// 1-norm reciprocal-condition estimate of the factored system, when
-    /// one was computed (Cholesky succeeded under `Auto`).
+    /// one was computed (Cholesky succeeded under `Auto`). Hager's
+    /// estimate is an *upper* bound on the true value. On the online
+    /// learner's warm-factor fast path it may instead be the certified
+    /// *lower* bound carried through absorbs (DESIGN.md §16).
     pub rcond: Option<f64>,
     /// Terminal failure, if the solve produced no solution.
     pub error: Option<LinalgError>,
