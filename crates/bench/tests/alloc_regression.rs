@@ -517,36 +517,52 @@ fn solver_escalation_is_allocation_free_after_warmup() {
     });
 }
 
-/// Failed rank-1 up/downdates restore the factor from per-row snapshot
-/// copies; after warm-up the failure paths (overflow on either path,
-/// indefiniteness on the downdate) are as allocation-free as successes.
+/// A failed rank-1 up/downdate leaves the factor invalid: every solve
+/// and rotation then answers the failure until a refactorisation. After
+/// warm-up the failure paths (overflow on either path, indefiniteness on
+/// the downdate), the refusals and the refactorisation that heals the
+/// factor are as allocation-free as successes.
 #[test]
-fn rank1_failure_paths_are_allocation_free_after_warmup() {
+fn rank1_failure_and_refactor_are_allocation_free_after_warmup() {
     use dfr_linalg::cholesky::Cholesky;
 
     let n = 40;
-    let mut chol = Cholesky::scaled_identity(n, 4.0).expect("seed");
+    let mut seed = Matrix::identity(n);
+    seed.scale(4.0);
+    let mut chol = Cholesky::factor(&seed).expect("seed");
     let mut work = Vec::new();
+    let mut solved = Matrix::zeros(0, 0);
+    let mut rhs = vec![0.0; n];
     let x: Vec<f64> = (0..n).map(|i| 0.1 * ((i as f64) * 0.37).sin()).collect();
     let mut overflow = x.clone();
     overflow[n / 2] = f64::MAX.sqrt() * 2.0;
     let mut indefinite = x.clone();
     indefinite[n - 1] = 10.0;
-    let step = |chol: &mut Cholesky, work: &mut Vec<f64>| {
-        chol.rank1_update(&x, work).expect("update");
-        assert!(chol.rank1_update(&overflow, work).is_err());
-        assert!(chol.rank1_downdate(&overflow, work).is_err());
-        assert!(chol.rank1_downdate(&indefinite, work).is_err());
-        chol.rank1_downdate(&x, work).expect("downdate");
+    let mut step = |chol: &mut Cholesky| {
+        for (bad, downdate) in [(&overflow, false), (&overflow, true), (&indefinite, true)] {
+            chol.rank1_update(&x, &mut work).expect("update");
+            let failed = if downdate {
+                chol.rank1_downdate(bad, &mut work)
+            } else {
+                chol.rank1_update(bad, &mut work)
+            };
+            assert!(failed.is_err() && !chol.is_valid());
+            assert!(chol.solve_into(&seed, &mut solved).is_err());
+            assert!(chol.solve_vec_in_place(&mut rhs).is_err());
+            assert!(chol.rank1_downdate(&x, &mut work).is_err());
+            assert_eq!(chol.rcond_1_est(16.0, &mut work), 0.0);
+            Cholesky::factor_into(&seed, chol).expect("refactor");
+            chol.solve_into(&seed, &mut solved).expect("solve");
+        }
     };
-    step(&mut chol, &mut work); // warm-up: work vector and snapshot storage
+    step(&mut chol); // warm-up: work vector, packing scratch, solve output
     let (allocs, ()) = count_allocs(|| {
         for _ in 0..20 {
-            step(&mut chol, &mut work);
+            step(&mut chol);
         }
     });
     assert_eq!(
         allocs, 0,
-        "post-warm-up rank-1 failure paths must not allocate ({allocs} allocations)"
+        "post-warm-up rank-1 failure, refusal and refactor paths must not allocate ({allocs} allocations)"
     );
 }

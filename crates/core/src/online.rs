@@ -20,10 +20,16 @@
 //! incremental weights agree with a from-scratch refit to rounding — the
 //! differential oracle this module is pinned by.
 //!
+//! Only the lower triangle of `S` is kept current per sample (the
+//! factorisation reads no more); it is mirrored into the upper one just
+//! before a reader that needs the whole matrix (the rcond vet's 1-norm,
+//! the escalation ladder).
+//!
 //! Failure semantics follow DESIGN.md §15: a downdate that would leave
 //! `S − φφᵀ` indefinite (or an update that overflows) is a *typed* failure
-//! that never poisons the factor — the exact rank-1 bookkeeping of
-//! `S`/`C` is still applied, the factor is marked stale, and the next
+//! that never poisons a solve — the exact rank-1 bookkeeping of `S`/`C` is
+//! still applied, the half-rotated factor is left
+//! [invalid](Cholesky::is_valid), and the next
 //! [`OnlineRidge::refit_into`] escalates through the active
 //! [`SolverPolicy`] (fresh Cholesky → QR → SVD) on the explicitly
 //! maintained system, reporting what happened in a per-refit
@@ -77,18 +83,17 @@ pub struct OnlineRidge {
     /// whole system (classic RLS: `S ← λS + φφᵀ`, including the `βI`
     /// seed, so `λ = 1` equals batch ridge exactly).
     forget: f64,
-    /// The full symmetric system `S`, order `p + 1` — maintained
-    /// explicitly (not only as its factor) because the QR/SVD escalation
-    /// rungs factor the matrix itself.
+    /// The symmetric system `S`, order `p + 1` — maintained explicitly
+    /// (not only as its factor) because the QR/SVD escalation rungs factor
+    /// the matrix itself. Only the lower triangle is current; the upper
+    /// one is refreshed by `mirror_lower` before a whole-matrix read.
     sys: Matrix,
     /// Right-hand side `C`, `(p + 1) × q`.
     rhs: Matrix,
     /// Cholesky factor of `sys`, maintained in lockstep by rank-1
-    /// rotations; only trustworthy while `factor_stale` is false.
+    /// rotations. A failed rotation leaves it invalid (no longer a factor
+    /// of `sys`) until a refit re-factors `sys` successfully.
     chol: Cholesky,
-    /// Set when an up/downdate failed (factor no longer matches `sys`);
-    /// cleared when a refit re-factors `sys` successfully.
-    factor_stale: bool,
     /// Lower bound on `λ_min(S)` (Weyl): `β` at construction, `λ·lo` on
     /// each forgetting decay, `lo − ‖φ‖²` on each retract.
     lo: f64,
@@ -190,7 +195,6 @@ impl OnlineRidge {
             sys,
             rhs: Matrix::zeros(n, targets),
             chol,
-            factor_stale: false,
             lo: beta,
             hi: beta,
             absorbed: 0,
@@ -222,11 +226,6 @@ impl OnlineRidge {
         self.beta
     }
 
-    /// The forgetting factor λ.
-    pub fn forget_factor(&self) -> f64 {
-        self.forget
-    }
-
     /// Samples absorbed over the learner's lifetime.
     pub fn absorbed(&self) -> u64 {
         self.absorbed
@@ -241,7 +240,7 @@ impl OnlineRidge {
     /// failed up/downdate) — the next refit will re-factor from scratch
     /// under the active [`SolverPolicy`].
     pub fn factor_stale(&self) -> bool {
-        self.factor_stale
+        !self.chol.is_valid()
     }
 
     /// The [`SolverReport`] of the most recent refit (all-default before
@@ -277,9 +276,9 @@ impl OnlineRidge {
         Ok(())
     }
 
-    /// Applies the staged `±φ` rank-1 term to `sys`/`rhs` (exact
-    /// bookkeeping, both triangles), to the eigenvalue bounds and to the
-    /// factor; a failed rotation only marks the factor stale — the system
+    /// Applies the staged `±φ` rank-1 term to `sys` (lower triangle) and
+    /// `rhs` (exact bookkeeping), to the eigenvalue bounds and to the
+    /// factor; a failed rotation only invalidates the factor — the system
     /// itself is always correct.
     fn apply_staged(&mut self, target: &[f64], sign: f64) {
         let n = self.p + 1;
@@ -293,27 +292,23 @@ impl OnlineRidge {
         }
         for i in 0..n {
             let phi_i = self.phi[i];
-            let row = self.sys.row_mut(i);
-            for (j, &phi_j) in self.phi.iter().enumerate() {
-                row[j] += sign * phi_i * phi_j;
+            let row = &mut self.sys.row_mut(i)[..=i];
+            for (s, &phi_j) in row.iter_mut().zip(&self.phi) {
+                *s += sign * phi_i * phi_j;
             }
             let rhs_row = self.rhs.row_mut(i);
             for (c, &t) in target.iter().enumerate() {
                 rhs_row[c] += sign * phi_i * t;
             }
         }
-        if !self.factor_stale {
-            let rotated = if sign > 0.0 {
-                self.chol.rank1_update(&self.phi, &mut self.work)
-            } else {
-                self.chol.rank1_downdate(&self.phi, &mut self.work)
-            };
-            if rotated.is_err() {
-                // Typed failure, factor restored by the rotation itself;
-                // the next refit escalates through the solver policy.
-                self.factor_stale = true;
-            }
-        }
+        // A failed rotation leaves the factor invalid (and an invalid one
+        // refuses without work): the next refit escalates through the
+        // solver policy, so the error itself carries nothing more.
+        let _ = if sign > 0.0 {
+            self.chol.rank1_update(&self.phi, &mut self.work)
+        } else {
+            self.chol.rank1_downdate(&self.phi, &mut self.work)
+        };
     }
 
     /// Absorbs one sample: decays the system by the forgetting factor,
@@ -321,7 +316,7 @@ impl OnlineRidge {
     ///
     /// A rank-1 rotation that fails numerically (overflow on extreme
     /// values) does **not** fail the absorb: the explicit system is
-    /// updated exactly and the factor is marked stale for the next refit
+    /// updated exactly and the factor is left invalid for the next refit
     /// to rebuild.
     ///
     /// # Errors
@@ -333,17 +328,21 @@ impl OnlineRidge {
     pub fn absorb(&mut self, features: &[f64], target: &[f64]) -> Result<(), CoreError> {
         self.stage(features, target)?;
         if self.forget < 1.0 {
-            for v in self.sys.as_mut_slice() {
-                *v *= self.forget;
+            if self.chol.is_valid() {
+                // `forget ∈ (0, 1]` was validated at construction, so the
+                // rescale cannot fail (and would fail before any mutation).
+                self.chol.scale(self.forget).map_err(CoreError::Linalg)?;
+            }
+            for i in 0..self.sys.rows() {
+                for v in &mut self.sys.row_mut(i)[..=i] {
+                    *v *= self.forget;
+                }
             }
             for v in self.rhs.as_mut_slice() {
                 *v *= self.forget;
             }
             self.lo *= self.forget;
             self.hi *= self.forget;
-            if !self.factor_stale && self.chol.scale(self.forget).is_err() {
-                self.factor_stale = true;
-            }
         }
         // `stage` borrows conflict-free: copy the caller's target through
         // the rank-1 application without re-borrowing self.
@@ -435,8 +434,8 @@ impl OnlineRidge {
     /// Hager's estimate an upper one. The slow path (stale factor, failed
     /// vet, or a QR/SVD-pinned policy) runs the §15 escalation state
     /// machine on the explicit system; a successful fresh Cholesky
-    /// factorisation un-stales the incremental factor as a side effect,
-    /// so rank-1 maintenance resumes afterwards.
+    /// factorisation makes the incremental factor valid again as a side
+    /// effect, so rank-1 maintenance resumes afterwards.
     /// [`OnlineRidge::last_report`] records which backend answered.
     ///
     /// # Errors
@@ -455,17 +454,9 @@ impl OnlineRidge {
             policy,
             ..SolverReport::default()
         };
-        let fast_path_ok = if self.factor_stale {
-            false
-        } else {
-            match policy {
-                SolverPolicy::Fixed(SolverKind::Cholesky) => {
-                    self.chol
-                        .solve_into(&self.rhs, &mut self.w_aug)
-                        .map_err(CoreError::Linalg)?;
-                    report.used = Some(SolverKind::Cholesky);
-                    true
-                }
+        let warm = !self.factor_stale()
+            && match policy {
+                SolverPolicy::Fixed(kind) => kind == SolverKind::Cholesky,
                 SolverPolicy::Auto => {
                     let cert = self.certificate();
                     // An overflowed `hi` makes `cert` NaN, which fails
@@ -473,36 +464,23 @@ impl OnlineRidge {
                     let rcond = if cert >= CERT_MARGIN * RCOND_MIN {
                         cert
                     } else {
+                        mirror_lower(&mut self.sys);
                         self.chol.rcond_1_est(self.sys.norm_1(), &mut self.cond)
                     };
                     report.rcond = Some(rcond);
-                    if rcond >= RCOND_MIN {
-                        self.chol
-                            .solve_into(&self.rhs, &mut self.w_aug)
-                            .map_err(CoreError::Linalg)?;
-                        report.used = Some(SolverKind::Cholesky);
-                        true
-                    } else {
-                        false
-                    }
+                    rcond >= RCOND_MIN
                 }
-                SolverPolicy::Fixed(_) => false,
-            }
-        };
-        if !fast_path_ok {
-            // The escalation may refactor `sys` into `chol`, clobbering
-            // the incremental factor — conservatively mark it stale first
-            // and un-stale only on a confirmed fresh factorisation.
-            let touches_chol = matches!(
-                policy,
-                SolverPolicy::Auto | SolverPolicy::Fixed(SolverKind::Cholesky)
-            );
-            if touches_chol {
-                self.factor_stale = true;
-            }
+            };
+        let result = if warm {
+            let solved = self.chol.solve_into(&self.rhs, &mut self.w_aug);
+            report.used = solved.is_ok().then_some(SolverKind::Cholesky);
+            solved
+        } else {
+            // A Cholesky rung refactors `sys` into `chol`, which is then
+            // valid exactly when that factorisation succeeded.
+            mirror_lower(&mut self.sys);
             report.rcond = None;
-            report.escalated = false;
-            let result = solve_policy(
+            solve_policy(
                 policy,
                 &mut report,
                 &self.sys,
@@ -512,23 +490,12 @@ impl OnlineRidge {
                 &mut self.qr,
                 &mut self.svd,
                 &mut self.cond,
-            );
-            let chol_fresh = match policy {
-                // Under Auto, a present rcond means the Cholesky rung
-                // factored successfully (the vet ran) even if it then
-                // escalated; the factor is valid for `sys` either way.
-                SolverPolicy::Auto => report.rcond.is_some(),
-                SolverPolicy::Fixed(SolverKind::Cholesky) => result.is_ok(),
-                SolverPolicy::Fixed(_) => false,
-            };
-            if chol_fresh {
-                self.factor_stale = false;
-            }
-            if let Err(e) = result {
-                report.error = Some(e.clone());
-                self.report = report;
-                return Err(CoreError::Linalg(e));
-            }
+            )
+        };
+        if let Err(e) = result {
+            report.error = Some(e.clone());
+            self.report = report;
+            return Err(CoreError::Linalg(e));
         }
         self.report = report;
         // w_aug is (p+1) × q; transpose into the readout convention:
@@ -573,6 +540,21 @@ impl OnlineRidge {
         let mut bias = Vec::new();
         self.refit_into(&mut w_out, &mut bias)?;
         Ok((w_out, bias))
+    }
+}
+
+/// Copies the lower triangle of the square `sys` into the upper one.
+/// `sign·φᵢ·φⱼ` is exact in `sign` and commutative, and the decay scales
+/// both triangles alike, so the result is bitwise the system a
+/// two-triangle update would have kept.
+fn mirror_lower(sys: &mut Matrix) {
+    let n = sys.rows();
+    let data = sys.as_mut_slice();
+    for i in 1..n {
+        let (above, below) = data.split_at_mut(i * n);
+        for (j, &v) in below[..i].iter().enumerate() {
+            above[j * n + i] = v;
+        }
     }
 }
 
@@ -723,61 +705,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn indefinite_retraction_escalates_and_recovers() {
-        let (p, q, beta) = (4, 2, 1e-6);
-        let mut learner = OnlineRidge::new(p, q, beta).unwrap();
-        for i in 0..6 {
-            let (x, t) = sample(i, p, q);
-            learner.absorb(&x, &t).unwrap();
-        }
-        // Retract a sample that was never absorbed, with enough energy to
-        // drive the system indefinite: the downdate fails *typed*, the
-        // bookkeeping still applies, and the factor goes stale.
-        let rogue_x = vec![10.0; p];
-        let rogue_t = vec![1.0; q];
-        learner.retract(&rogue_x, &rogue_t).unwrap();
-        assert!(learner.factor_stale());
-        // Refit must still answer (escalating to a finite minimum-norm
-        // solution) and must report the escalation honestly.
-        let mut w = Matrix::zeros(0, 0);
-        let mut b = Vec::new();
-        learner
-            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
-            .unwrap();
-        assert!(w.as_slice().iter().all(|v| v.is_finite()));
-        assert!(b.iter().all(|v| v.is_finite()));
-        let report = learner.last_report().clone();
-        assert!(report.escalated, "indefinite system must escalate");
-        assert!(matches!(
-            report.used,
-            Some(SolverKind::Qr) | Some(SolverKind::Svd)
-        ));
-        // Re-absorbing the rogue sample restores definiteness; the next
-        // Auto refit re-factors, un-stales, and the learner agrees with
-        // batch again.
-        learner.absorb(&rogue_x, &rogue_t).unwrap();
-        learner
-            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
-            .unwrap();
-        assert!(!learner.factor_stale());
-        assert_eq!(learner.last_report().used, Some(SolverKind::Cholesky));
-        // The rogue sample was retracted once and absorbed once, so the
-        // net system is exactly the original 6 samples.
-        let expect: Vec<_> = (0..6).map(|i| sample(i, p, q)).collect();
-        let (bw, bb) = batch_fit(&expect, beta);
-        assert_close(&w, &bw, 1e-7, "w_out after recovery");
-        for (x1, x2) in b.iter().zip(&bb) {
-            assert!((x1 - x2).abs() < 1e-7);
-        }
-    }
-
-    /// Hager's estimate on the learner's current factor and system — what
-    /// the Auto vet computes.
+    /// Hager's estimate on the learner's current factor and (mirrored)
+    /// system — what the Auto vet computes.
     fn hager(learner: &OnlineRidge) -> f64 {
-        learner
-            .chol
-            .rcond_1_est(learner.sys.norm_1(), &mut Vec::new())
+        let mut sys = learner.sys.clone();
+        mirror_lower(&mut sys);
+        learner.chol.rcond_1_est(sys.norm_1(), &mut Vec::new())
     }
 
     /// Whether the last Auto refit was answered by the certificate (its
@@ -979,5 +912,128 @@ mod tests {
         assert!(!learner.factor_stale());
         assert_eq!(w, w_ref, "same factor + rhs must solve bitwise equal");
         assert_eq!(b, b_ref);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `S` and `C` as the two-triangle bookkeeping keeps them: each
+    /// absorb (`sign > 0`) decays both, then `±φφᵀ` lands on every entry.
+    fn two_triangle(ops: &[(Vec<f64>, Vec<f64>, f64)], beta: f64, forget: f64) -> (Matrix, Matrix) {
+        let (n, q) = (ops[0].0.len() + 1, ops[0].1.len());
+        let (mut sys, mut rhs) = (Matrix::identity(n), Matrix::zeros(n, q));
+        sys.scale(beta);
+        for (x, t, sign) in ops {
+            if *sign > 0.0 {
+                sys.scale(forget);
+                rhs.scale(forget);
+            }
+            let phi: Vec<f64> = x.iter().copied().chain([1.0]).collect();
+            for (i, &phi_i) in phi.iter().enumerate() {
+                for (j, &phi_j) in phi.iter().enumerate() {
+                    sys[(i, j)] += sign * phi_i * phi_j;
+                }
+                for (c, &tc) in t.iter().enumerate() {
+                    rhs[(i, c)] += sign * phi_i * tc;
+                }
+            }
+        }
+        (sys, rhs)
+    }
+
+    /// `solve_policy` on fresh scratch: the weights and report a refit on
+    /// `sys`/`rhs` must reproduce.
+    fn solve_fresh(sys: &Matrix, rhs: &Matrix, policy: SolverPolicy) -> (Matrix, SolverReport) {
+        let (mut w, mut report) = (Matrix::zeros(0, 0), SolverReport::default());
+        let (mut chol, mut qr, mut svd) = (Cholesky::empty(), Qr::default(), Svd::default());
+        let mut cond = Vec::new();
+        solve_policy(
+            policy,
+            &mut report,
+            sys,
+            rhs,
+            &mut w,
+            &mut chol,
+            &mut qr,
+            &mut svd,
+            &mut cond,
+        )
+        .unwrap();
+        (w, report)
+    }
+
+    #[test]
+    fn one_triangle_bookkeeping_mirrors_to_the_two_triangle_system_bitwise() {
+        let (p, q, beta, lambda) = (9, 3, 1e-3, 0.97);
+        let mut learner = OnlineRidge::with_forgetting(p, q, beta, lambda).unwrap();
+        let (mut w, mut b) = (Matrix::zeros(0, 0), Vec::new());
+        let mut ops = Vec::new();
+        for i in 0..60 {
+            let (x, t) = sample(i, p, q);
+            learner.absorb(&x, &t).unwrap();
+            ops.push((x.clone(), t.clone(), 1.0));
+            if i % 7 == 6 {
+                // Retracting the sample just absorbed keeps S definite.
+                learner.retract(&x, &t).unwrap();
+                ops.push((x, t, -1.0));
+            }
+        }
+        let (sys, rhs) = two_triangle(&ops, beta, lambda);
+        let mut mirrored = learner.sys.clone();
+        mirror_lower(&mut mirrored);
+        assert_eq!(bits(&mirrored), bits(&sys));
+        assert_eq!(bits(&learner.rhs), bits(&rhs));
+
+        // The retracts took the certificate below zero, so Auto vets the
+        // incremental factor against the mirrored S.
+        assert!(!learner.factor_stale());
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        let vet = learner.chol.rcond_1_est(sys.norm_1(), &mut Vec::new());
+        assert_eq!(learner.report.rcond.map(f64::to_bits), Some(vet.to_bits()));
+        for kind in [SolverKind::Qr, SolverKind::Svd] {
+            let policy = SolverPolicy::Fixed(kind);
+            learner.refit_into_with(&mut w, &mut b, policy).unwrap();
+            assert_eq!(
+                bits(&learner.w_aug),
+                bits(&solve_fresh(&sys, &rhs, policy).0)
+            );
+        }
+
+        // A rogue retract fails the downdate typed and leaves S indefinite:
+        // Auto escalates on the mirrored S to a finite answer.
+        let (x, t) = (vec![10.0; p], vec![1.0; q]);
+        learner.retract(&x, &t).unwrap();
+        assert!(learner.factor_stale());
+        ops.push((x.clone(), t.clone(), -1.0));
+        let (sys, rhs) = two_triangle(&ops, beta, lambda);
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        let (want, report) = solve_fresh(&sys, &rhs, SolverPolicy::Auto);
+        assert!(report.escalated && report.used != Some(SolverKind::Cholesky));
+        assert_eq!(learner.report.used, report.used);
+        assert_eq!(bits(&learner.w_aug), bits(&want));
+        assert!(w.as_slice().iter().chain(&b).all(|v| v.is_finite()));
+
+        // Re-absorbing it restores definiteness: Auto refactors and vets the
+        // mirrored S, and the factor is valid again.
+        learner.absorb(&x, &t).unwrap();
+        ops.push((x, t, 1.0));
+        let (sys, rhs) = two_triangle(&ops, beta, lambda);
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        let (want, report) = solve_fresh(&sys, &rhs, SolverPolicy::Auto);
+        assert_eq!(report.used, Some(SolverKind::Cholesky));
+        assert_eq!(learner.report.used, report.used);
+        assert_eq!(
+            learner.report.rcond.map(f64::to_bits),
+            report.rcond.map(f64::to_bits)
+        );
+        assert_eq!(bits(&learner.w_aug), bits(&want));
+        assert!(!learner.factor_stale());
     }
 }

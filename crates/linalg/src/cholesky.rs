@@ -53,18 +53,16 @@ pub struct Cholesky {
     /// Packing scratch for the blocked trailing update, recycled across
     /// refactorisations (the β-sweep refactors once per candidate).
     ws: GemmWorkspace,
-    /// Pre-rotation copies of the rows of `u` a rank-1 up/downdate has
-    /// reached so far (row `k` is copied just before step `k` may write
-    /// it), so a mid-recurrence failure (induced indefiniteness, overflow)
-    /// restores the factor instead of leaving it half-rotated. Storage
-    /// recycled across calls.
-    snap: Matrix,
+    /// The error that left `u` half-written (a failed rank-1 rotation or
+    /// factorisation), `None` while `u` is a factor. Solves and rank-1
+    /// calls answer it until a factorisation succeeds.
+    failed: Option<LinalgError>,
 }
 
-/// Equality is the factor itself; packing scratch carries no identity.
+/// Equality is the factor and its validity, not the packing scratch.
 impl PartialEq for Cholesky {
     fn eq(&self, other: &Self) -> bool {
-        self.u == other.u
+        self.u == other.u && self.is_valid() == other.is_valid()
     }
 }
 
@@ -93,7 +91,7 @@ impl Cholesky {
         Cholesky {
             u: Matrix::zeros(0, 0),
             ws: GemmWorkspace::new(),
-            snap: Matrix::zeros(0, 0),
+            failed: None,
         }
     }
 
@@ -138,6 +136,7 @@ impl Cholesky {
         for i in 0..n {
             out.u[(i, i)] = d;
         }
+        out.failed = None;
         Ok(())
     }
 
@@ -155,8 +154,9 @@ impl Cholesky {
     /// unblocked left-looking loop. The loop works on `L` row-major; one
     /// in-place transpose at the end hands over the stored `U = Lᵀ`.
     ///
-    /// On error `out` is left in an unspecified (but safe) state; callers
-    /// must not solve with it until a later `factor_into` succeeds.
+    /// A non-positive pivot leaves `out` invalid: it refuses to solve
+    /// until a later `factor_into` succeeds. Shape errors are raised
+    /// before `out` is touched.
     ///
     /// # Errors
     ///
@@ -196,7 +196,7 @@ impl Cholesky {
                     sum -= l[(j, k2)] * l[(j, k2)];
                 }
                 if sum <= 0.0 || !sum.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: j });
+                    return out.fail(LinalgError::NotPositiveDefinite { pivot: j });
                 }
                 let d = sum.sqrt();
                 l[(j, j)] = d;
@@ -214,7 +214,26 @@ impl Cholesky {
             kb = ke;
         }
         transpose_in_place(l);
+        out.failed = None;
         Ok(())
+    }
+
+    /// Marks the factor invalid with the error that left it half-written.
+    fn fail(&mut self, e: LinalgError) -> Result<(), LinalgError> {
+        self.failed = Some(e.clone());
+        Err(e)
+    }
+
+    /// Whether the stored factor is usable: false after a failed rank-1
+    /// rotation or factorisation, until [`Cholesky::factor_into`] or
+    /// [`Cholesky::scaled_identity_into`] succeeds.
+    pub fn is_valid(&self) -> bool {
+        self.failed.is_none()
+    }
+
+    /// The error an invalid factor answers, `Ok` while it is valid.
+    fn check_valid(&self) -> Result<(), LinalgError> {
+        self.failed.clone().map_or(Ok(()), Err)
     }
 
     /// Dimension of the factored matrix.
@@ -232,7 +251,7 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
+    /// Same as [`Cholesky::solve_vec_in_place`].
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut y = b.to_vec();
         self.solve_vec_in_place(&mut y)?;
@@ -244,8 +263,10 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
+    /// [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`; an
+    /// [invalid](Cholesky::is_valid) factor answers what invalidated it.
     pub fn solve_vec_in_place(&self, b: &mut [f64]) -> Result<(), LinalgError> {
+        self.check_valid()?;
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -262,7 +283,7 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
+    /// Same as [`Cholesky::solve_into`].
     pub fn solve(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
         self.solve_into(b, &mut out)?;
@@ -281,8 +302,10 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`.
+    /// [`LinalgError::ShapeMismatch`] if `b.rows() != self.dim()`; an
+    /// [invalid](Cholesky::is_valid) factor answers what invalidated it.
     pub fn solve_into(&self, b: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
+        self.check_valid()?;
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -356,11 +379,12 @@ impl Cholesky {
     /// `work` (the recurrences consume it destructively). Shared prologue
     /// of [`Cholesky::rank1_update`] / [`Cholesky::rank1_downdate`].
     fn rank1_prologue(
-        &mut self,
+        &self,
         x: &[f64],
         work: &mut Vec<f64>,
         op: &'static str,
     ) -> Result<(), LinalgError> {
+        self.check_valid()?;
         let n = self.dim();
         if n == 0 {
             return Err(LinalgError::Empty { op });
@@ -377,25 +401,7 @@ impl Cholesky {
         }
         work.clear();
         work.extend_from_slice(x);
-        // Rows are copied into the snapshot one at a time, just before
-        // each rotation step (see `snapshot_row`).
-        self.snap.resize(n, n);
         Ok(())
-    }
-
-    /// Copies row `k` of `U` (its nonzero part, columns `k..n`) into the
-    /// snapshot before rotation step `k` may write it.
-    fn snapshot_row(&mut self, k: usize) {
-        self.snap.row_mut(k)[k..].copy_from_slice(&self.u.row(k)[k..]);
-    }
-
-    /// Restores rows `0..=k` of `U` from the snapshot: the rows a failed
-    /// rotation at step `k` may have touched. Rows past `k` were never
-    /// written, so the factor is again exactly the pre-call one.
-    fn restore_rows(&mut self, k: usize) {
-        for j in 0..=k {
-            self.u.row_mut(j)[j..].copy_from_slice(&self.snap.row(j)[j..]);
-        }
     }
 
     /// Replaces this factor of `A` with the factor of `A + x·xᵀ` in
@@ -406,8 +412,8 @@ impl Cholesky {
     /// `c = r/L[k][k]`, `s = w[k]/L[k][k]`, then for `i > k`:
     /// `L[i][k] ← (L[i][k] + s·w[i])/c`, `w[i] ← c·w[i] − s·L[i][k]`.
     /// An update of an SPD factor cannot induce indefiniteness, so the
-    /// only runtime failure is f64 overflow — detected per column and
-    /// answered by restoring the pre-call factor.
+    /// only runtime failure is f64 overflow — detected per column, it
+    /// leaves the factor half-rotated and [invalid](Cholesky::is_valid).
     ///
     /// `work` is caller-owned scratch (resized to `dim()`, allocation
     /// reused across calls — an online absorb loop updates once per
@@ -420,19 +426,18 @@ impl Cholesky {
     /// * [`LinalgError::ShapeMismatch`] if `x.len() != self.dim()`.
     /// * [`LinalgError::NonFinite`] if `x` carries a non-finite value
     ///   (checked before mutation) or the rotations overflow (factor
-    ///   restored). The factor is unchanged in every error case.
+    ///   left invalid). An invalid factor answers, unchanged, the error
+    ///   that invalidated it.
     pub fn rank1_update(&mut self, x: &[f64], work: &mut Vec<f64>) -> Result<(), LinalgError> {
         self.rank1_prologue(x, work, "rank1_update")?;
         let n = self.dim();
         for k in 0..n {
-            self.snapshot_row(k);
             let row = &mut self.u.row_mut(k)[k..];
             let lkk = row[0];
             let wk = work[k];
             let r = (lkk * lkk + wk * wk).sqrt();
             if !r.is_finite() {
-                self.restore_rows(k);
-                return Err(LinalgError::NonFinite { op: "rank1_update" });
+                return self.fail(LinalgError::NonFinite { op: "rank1_update" });
             }
             let c = r / lkk;
             let s = wk / lkk;
@@ -454,35 +459,32 @@ impl Cholesky {
     /// difference-of-squares form, more accurate than `L[k][k]² − w[k]²`
     /// when the two magnitudes are close); `r² ≤ 0` means `A − x·xᵀ` has
     /// lost positive definiteness — a *typed* failure, never a poisoned
-    /// factor: the pre-call factor is restored before returning, and the
+    /// solve: the half-rotated factor is marked
+    /// [invalid](Cholesky::is_valid) and refuses every solve, and the
     /// caller escalates through [`crate::solver::SolverPolicy`] to a full
-    /// QR/SVD refactorisation of the explicitly-maintained system matrix.
+    /// refactorisation of the explicitly-maintained system matrix.
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::Empty`] / [`LinalgError::ShapeMismatch`] /
-    ///   [`LinalgError::NonFinite`] as for [`Cholesky::rank1_update`].
+    /// * As for [`Cholesky::rank1_update`].
     /// * [`LinalgError::NotPositiveDefinite`] with the failing column as
     ///   `pivot` if the downdate would leave the matrix indefinite or
-    ///   semidefinite. The factor is unchanged in every error case.
+    ///   semidefinite (factor left invalid).
     pub fn rank1_downdate(&mut self, x: &[f64], work: &mut Vec<f64>) -> Result<(), LinalgError> {
         self.rank1_prologue(x, work, "rank1_downdate")?;
         let n = self.dim();
         for k in 0..n {
-            self.snapshot_row(k);
             let row = &mut self.u.row_mut(k)[k..];
             let lkk = row[0];
             let wk = work[k];
             let r2 = (lkk - wk) * (lkk + wk);
             if !r2.is_finite() {
-                self.restore_rows(k);
-                return Err(LinalgError::NonFinite {
+                return self.fail(LinalgError::NonFinite {
                     op: "rank1_downdate",
                 });
             }
             if r2 <= 0.0 {
-                self.restore_rows(k);
-                return Err(LinalgError::NotPositiveDefinite { pivot: k });
+                return self.fail(LinalgError::NotPositiveDefinite { pivot: k });
             }
             let r = r2.sqrt();
             let c = r / lkk;
@@ -523,11 +525,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Log-determinant of the original matrix, `log det A = 2 Σ log L[i][i]`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.u[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
     /// Cheap 1-norm reciprocal-condition estimate `1 / (‖A‖₁·est‖A⁻¹‖₁)`
     /// of the factored matrix — the vetting signal of
     /// [`crate::solver::SolverPolicy::Auto`].
@@ -544,10 +541,11 @@ impl Cholesky {
     ///
     /// `work` is caller-owned scratch (resized to `dim()`, allocation
     /// reused across calls — the β-sweep vets once per candidate).
-    /// Returns `0.0` for empty factors or non-finite inputs/intermediates.
+    /// Returns `0.0` for empty or invalid factors and for non-finite
+    /// inputs/intermediates.
     pub fn rcond_1_est(&self, anorm: f64, work: &mut Vec<f64>) -> f64 {
         let n = self.dim();
-        if n == 0 || !anorm.is_finite() || anorm <= 0.0 {
+        if n == 0 || !self.is_valid() || !anorm.is_finite() || anorm <= 0.0 {
             return 0.0;
         }
         work.clear();
@@ -810,13 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 8.0]]).unwrap();
-        let c = Cholesky::factor(&a).unwrap();
-        assert!((c.log_det() - (16.0_f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn rcond_tracks_true_conditioning() {
         let mut work = Vec::new();
         // Well-conditioned: estimate lands in the right decade.
@@ -901,24 +892,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn indefinite_downdate_is_typed_and_restores() {
-        // Downdating I by 2·e₀ would give diag(-3, 1): indefinite.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let mut c = Cholesky::factor(&a).unwrap();
-        let before = c.clone();
+    /// Every use of an invalid factor answers `err`; rcond reads 0.
+    fn assert_refuses(c: &mut Cholesky, err: &LinalgError) {
         let mut work = Vec::new();
-        let err = c.rank1_downdate(&[2.0, 0.0], &mut work).unwrap_err();
-        assert!(matches!(err, LinalgError::NotPositiveDefinite { pivot: 0 }));
-        assert_eq!(c, before, "failed downdate must leave the factor intact");
-        // Failure *past* the first column restores the already-rotated
-        // columns too — the snapshot guarantee, bitwise.
+        assert!(!c.is_valid());
+        assert_eq!(c.solve_vec(&[1.0; 3]).as_ref(), Err(err));
+        assert_eq!(c.solve(&Matrix::filled(3, 2, 1.0)).as_ref(), Err(err));
+        assert_eq!(c.rank1_update(&[0.1; 3], &mut work).as_ref(), Err(err));
+        assert_eq!(c.rank1_downdate(&[0.1; 3], &mut work).as_ref(), Err(err));
+        assert_eq!(c.rcond_1_est(1.0, &mut work), 0.0);
+    }
+
+    #[test]
+    fn failures_invalidate_until_refactored() {
         let a = spd3();
-        let mut c = Cholesky::factor(&a).unwrap();
-        let before = c.clone();
-        let err = c.rank1_downdate(&[0.0, 0.0, 10.0], &mut work).unwrap_err();
-        assert!(matches!(err, LinalgError::NotPositiveDefinite { pivot: 2 }));
-        assert_eq!(c, before);
+        let fresh = Cholesky::factor(&a).unwrap();
+        let mut c = fresh.clone();
+        // Fails at the last column, after rotating the first two.
+        let err = c.rank1_downdate(&[0.0, 0.0, 10.0], &mut Vec::new());
+        assert_eq!(err, Err(LinalgError::NotPositiveDefinite { pivot: 2 }));
+        assert_refuses(&mut c, &err.unwrap_err());
+        Cholesky::factor_into(&a, &mut c).unwrap();
+        assert_eq!(c, fresh, "refactoring restores a usable factor");
+        // A failed factorisation invalidates too; the identity seed heals.
+        let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        let err = Cholesky::factor_into(&indefinite, &mut c).unwrap_err();
+        assert_refuses(&mut c, &err);
+        Cholesky::scaled_identity_into(3, 4.0, &mut c).unwrap();
+        assert_eq!(c, Cholesky::scaled_identity(3, 4.0).unwrap());
     }
 
     #[test]
@@ -941,20 +942,12 @@ mod tests {
             LinalgError::NonFinite { .. }
         ));
         assert_eq!(c, before);
+        assert!(c.is_valid());
         let mut empty = Cholesky::empty();
         assert!(matches!(
             empty.rank1_update(&[], &mut work).unwrap_err(),
             LinalgError::Empty { .. }
         ));
-        // Overflowing rotations restore the factor and answer NonFinite.
-        let mut c = Cholesky::factor(&spd3()).unwrap();
-        let before = c.clone();
-        assert!(matches!(
-            c.rank1_update(&[f64::MAX.sqrt() * 2.0, 0.0, 0.0], &mut work)
-                .unwrap_err(),
-            LinalgError::NonFinite { .. }
-        ));
-        assert_eq!(c, before);
     }
 
     #[test]

@@ -759,9 +759,10 @@ fn norm_1_matches_column_loop() {
 /// Rank-1 up/downdates rotate rows of `U` and must match the column
 /// recurrence on `L` bitwise; a failure forced at the first, a middle and
 /// the last column (overflow on either path, indefiniteness on the
-/// downdate) must restore the exact pre-call factor.
+/// downdate) must leave the factor invalid — every solve answers the
+/// failure — until a refactorisation, which is bitwise a fresh factor.
 #[test]
-fn rank1_updates_match_row_major_references_and_restore_on_failure() {
+fn rank1_updates_match_row_major_references_and_invalidate_on_failure() {
     let mut work = Vec::new();
     for n in LAYOUT_NS {
         let a = spd(n, 1.9);
@@ -781,11 +782,13 @@ fn rank1_updates_match_row_major_references_and_restore_on_failure() {
         );
 
         let before = c.clone();
+        let fresh = Cholesky::factor(&a).unwrap();
+        let mut out = Matrix::zeros(0, 0);
         let mut columns = vec![0, n / 2, n - 1];
         columns.dedup();
         for j in columns {
-            // Small entries everywhere rotate every column before `j`, so
-            // the restore has real work to undo; entry `j` forces the fault.
+            // Small entries everywhere rotate every column before `j`;
+            // entry `j` forces the fault.
             let small: Vec<f64> = (0..n).map(|i| 1e-2 * (i as f64 * 0.47).sin()).collect();
             let huge = f64::MAX.sqrt() * 2.0;
             let indefinite = 2.0 * a[(j, j)].sqrt() + 1.0;
@@ -794,6 +797,7 @@ fn rank1_updates_match_row_major_references_and_restore_on_failure() {
                 v[j] = fault;
                 let mut l = before.factor_u().transpose();
                 assert_eq!(reference_rank1(&mut l, &v, downdate), Err(j), "n={n} j={j}");
+                let mut c = before.clone();
                 let err = if downdate {
                     c.rank1_downdate(&v, &mut work).unwrap_err()
                 } else {
@@ -807,11 +811,21 @@ fn rank1_updates_match_row_major_references_and_restore_on_failure() {
                         "{err:?}"
                     );
                 }
+                assert!(!c.is_valid(), "n={n} j={j} downdate={downdate}");
+                let mut b = vec![1.0; n];
+                assert_eq!(c.solve_vec_in_place(&mut b), Err(err.clone()));
+                assert_eq!(c.solve_into(&a, &mut out), Err(err.clone()));
+                assert_eq!(c.rank1_update(&small, &mut work), Err(err.clone()));
+                assert_eq!(c.rank1_downdate(&small, &mut work), Err(err));
+                assert_eq!(c.rcond_1_est(a.norm_1(), &mut work), 0.0);
+                Cholesky::factor_into(&a, &mut c).unwrap();
+                assert!(c.is_valid());
                 assert_bits_eq(
                     c.factor_u(),
-                    before.factor_u(),
-                    &format!("restore n={n} j={j} downdate={downdate}"),
+                    fresh.factor_u(),
+                    &format!("refactor n={n} j={j} downdate={downdate}"),
                 );
+                c.solve_into(&a, &mut out).unwrap();
             }
         }
     }
