@@ -412,7 +412,7 @@ impl Cholesky {
     /// `c = r/L[k][k]`, `s = w[k]/L[k][k]`, then for `i > k`:
     /// `L[i][k] ← (L[i][k] + s·w[i])/c`, `w[i] ← c·w[i] − s·L[i][k]`.
     /// An update of an SPD factor cannot induce indefiniteness, so the
-    /// only runtime failure is f64 overflow — detected per column, it
+    /// only runtime failure is f64 overflow — detected per column; it
     /// leaves the factor half-rotated and [invalid](Cholesky::is_valid).
     ///
     /// `work` is caller-owned scratch (resized to `dim()`, allocation
