@@ -86,8 +86,12 @@ pub struct OnlineRidge {
     /// The symmetric system `S`, order `p + 1` — maintained explicitly
     /// (not only as its factor) because the QR/SVD escalation rungs factor
     /// the matrix itself. Only the lower triangle is current; the upper
-    /// one is refreshed by `mirror_lower` before a whole-matrix read.
+    /// one is refreshed by [`OnlineRidge::mirror_sys`] before a
+    /// whole-matrix read.
     sys: Matrix,
+    /// Whether the upper triangle of `sys` mirrors the lower one (cleared
+    /// by every absorb and retract).
+    mirrored: bool,
     /// Right-hand side `C`, `(p + 1) × q`.
     rhs: Matrix,
     /// Cholesky factor of `sys`, maintained in lockstep by rank-1
@@ -193,6 +197,7 @@ impl OnlineRidge {
             beta,
             forget,
             sys,
+            mirrored: true,
             rhs: Matrix::zeros(n, targets),
             chol,
             lo: beta,
@@ -224,6 +229,11 @@ impl OnlineRidge {
     /// The ridge regulariser β.
     pub fn beta(&self) -> f64 {
         self.beta
+    }
+
+    /// The forgetting factor λ.
+    pub fn forget_factor(&self) -> f64 {
+        self.forget
     }
 
     /// Samples absorbed over the learner's lifetime.
@@ -285,6 +295,7 @@ impl OnlineRidge {
         // Weyl: `+φφᵀ` cannot lower λ_min and raises λ_max by at most
         // ‖φ‖²; `−φφᵀ` cannot raise λ_max and lowers λ_min by at most ‖φ‖².
         let phi_sq: f64 = self.phi.iter().map(|v| v * v).sum();
+        self.mirrored = false;
         if sign > 0.0 {
             self.hi += phi_sq;
         } else {
@@ -464,7 +475,7 @@ impl OnlineRidge {
                     let rcond = if cert >= CERT_MARGIN * RCOND_MIN {
                         cert
                     } else {
-                        mirror_lower(&mut self.sys);
+                        self.mirror_sys();
                         self.chol.rcond_1_est(self.sys.norm_1(), &mut self.cond)
                     };
                     report.rcond = Some(rcond);
@@ -478,7 +489,7 @@ impl OnlineRidge {
         } else {
             // A Cholesky rung refactors `sys` into `chol`, which is then
             // valid exactly when that factorisation succeeded.
-            mirror_lower(&mut self.sys);
+            self.mirror_sys();
             report.rcond = None;
             solve_policy(
                 policy,
@@ -530,6 +541,15 @@ impl OnlineRidge {
         (self.lo - terms * f64::EPSILON * self.hi) / (n * self.hi)
     }
 
+    /// Copies the lower triangle of `sys` into the upper one, unless
+    /// nothing has touched it since the last copy.
+    fn mirror_sys(&mut self) {
+        if !self.mirrored {
+            mirror_lower(&mut self.sys);
+            self.mirrored = true;
+        }
+    }
+
     /// Allocating convenience form of [`OnlineRidge::refit_into`].
     ///
     /// # Errors
@@ -546,7 +566,9 @@ impl OnlineRidge {
 /// Copies the lower triangle of the square `sys` into the upper one.
 /// `sign·φᵢ·φⱼ` is exact in `sign` and commutative, and the decay scales
 /// both triangles alike, so the result is bitwise the system a
-/// two-triangle update would have kept.
+/// two-triangle update would have kept. `dfr-linalg` keeps a private
+/// copy of this loop for its Gram products; sharing one would make it
+/// public `Matrix` surface.
 fn mirror_lower(sys: &mut Matrix) {
     let n = sys.rows();
     let data = sys.as_mut_slice();
@@ -702,6 +724,55 @@ mod tests {
         }
         for (c, bv) in b.iter().enumerate() {
             assert!((bv - w_aug[(p, c)]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn indefinite_retraction_escalates_and_recovers() {
+        let (p, q, beta) = (4, 2, 1e-6);
+        let mut learner = OnlineRidge::new(p, q, beta).unwrap();
+        for i in 0..6 {
+            let (x, t) = sample(i, p, q);
+            learner.absorb(&x, &t).unwrap();
+        }
+        // Retract a sample that was never absorbed, with enough energy to
+        // drive the system indefinite: the downdate fails *typed*, the
+        // bookkeeping still applies, and the factor goes stale.
+        let rogue_x = vec![10.0; p];
+        let rogue_t = vec![1.0; q];
+        learner.retract(&rogue_x, &rogue_t).unwrap();
+        assert!(learner.factor_stale());
+        // Refit must still answer (escalating to a finite minimum-norm
+        // solution) and must report the escalation honestly.
+        let mut w = Matrix::zeros(0, 0);
+        let mut b = Vec::new();
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        assert!(w.as_slice().iter().all(|v| v.is_finite()));
+        assert!(b.iter().all(|v| v.is_finite()));
+        let report = learner.last_report().clone();
+        assert!(report.escalated, "indefinite system must escalate");
+        assert!(matches!(
+            report.used,
+            Some(SolverKind::Qr) | Some(SolverKind::Svd)
+        ));
+        // Re-absorbing the rogue sample restores definiteness; the next
+        // Auto refit re-factors, un-stales, and the learner agrees with
+        // batch again.
+        learner.absorb(&rogue_x, &rogue_t).unwrap();
+        learner
+            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+            .unwrap();
+        assert!(!learner.factor_stale());
+        assert_eq!(learner.last_report().used, Some(SolverKind::Cholesky));
+        // The rogue sample was retracted once and absorbed once, so the
+        // net system is exactly the original 6 samples.
+        let expect: Vec<_> = (0..6).map(|i| sample(i, p, q)).collect();
+        let (bw, bb) = batch_fit(&expect, beta);
+        assert_close(&w, &bw, 1e-7, "w_out after recovery");
+        for (x1, x2) in b.iter().zip(&bb) {
+            assert!((x1 - x2).abs() < 1e-7);
         }
     }
 
@@ -914,10 +985,6 @@ mod tests {
         assert_eq!(b, b_ref);
     }
 
-    fn bits(m: &Matrix) -> Vec<u64> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
-
     /// `S` and `C` as the two-triangle bookkeeping keeps them: each
     /// absorb (`sign > 0`) decays both, then `±φφᵀ` lands on every entry.
     fn two_triangle(ops: &[(Vec<f64>, Vec<f64>, f64)], beta: f64, forget: f64) -> (Matrix, Matrix) {
@@ -942,12 +1009,11 @@ mod tests {
         (sys, rhs)
     }
 
-    /// `solve_policy` on fresh scratch: the weights and report a refit on
+    /// `solve_policy` on fresh scratch: the weights a refit on
     /// `sys`/`rhs` must reproduce.
-    fn solve_fresh(sys: &Matrix, rhs: &Matrix, policy: SolverPolicy) -> (Matrix, SolverReport) {
+    fn solve_fresh(sys: &Matrix, rhs: &Matrix, policy: SolverPolicy) -> Matrix {
         let (mut w, mut report) = (Matrix::zeros(0, 0), SolverReport::default());
         let (mut chol, mut qr, mut svd) = (Cholesky::empty(), Qr::default(), Svd::default());
-        let mut cond = Vec::new();
         solve_policy(
             policy,
             &mut report,
@@ -957,10 +1023,10 @@ mod tests {
             &mut chol,
             &mut qr,
             &mut svd,
-            &mut cond,
+            &mut Vec::new(),
         )
         .unwrap();
-        (w, report)
+        w
     }
 
     #[test]
@@ -982,58 +1048,33 @@ mod tests {
         let (sys, rhs) = two_triangle(&ops, beta, lambda);
         let mut mirrored = learner.sys.clone();
         mirror_lower(&mut mirrored);
-        assert_eq!(bits(&mirrored), bits(&sys));
-        assert_eq!(bits(&learner.rhs), bits(&rhs));
+        assert_eq!(mirrored, sys);
+        assert_eq!(learner.rhs, rhs);
 
         // The retracts took the certificate below zero, so Auto vets the
         // incremental factor against the mirrored S.
-        assert!(!learner.factor_stale());
         learner
             .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
             .unwrap();
         let vet = learner.chol.rcond_1_est(sys.norm_1(), &mut Vec::new());
-        assert_eq!(learner.report.rcond.map(f64::to_bits), Some(vet.to_bits()));
+        assert_eq!(learner.report.rcond, Some(vet));
         for kind in [SolverKind::Qr, SolverKind::Svd] {
             let policy = SolverPolicy::Fixed(kind);
             learner.refit_into_with(&mut w, &mut b, policy).unwrap();
-            assert_eq!(
-                bits(&learner.w_aug),
-                bits(&solve_fresh(&sys, &rhs, policy).0)
-            );
+            assert_eq!(learner.w_aug, solve_fresh(&sys, &rhs, policy));
         }
 
-        // A rogue retract fails the downdate typed and leaves S indefinite:
-        // Auto escalates on the mirrored S to a finite answer.
+        // A rogue retract invalidates the factor: Auto escalates on the
+        // mirrored S.
         let (x, t) = (vec![10.0; p], vec![1.0; q]);
         learner.retract(&x, &t).unwrap();
         assert!(learner.factor_stale());
-        ops.push((x.clone(), t.clone(), -1.0));
+        ops.push((x, t, -1.0));
         let (sys, rhs) = two_triangle(&ops, beta, lambda);
         learner
             .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
             .unwrap();
-        let (want, report) = solve_fresh(&sys, &rhs, SolverPolicy::Auto);
-        assert!(report.escalated && report.used != Some(SolverKind::Cholesky));
-        assert_eq!(learner.report.used, report.used);
-        assert_eq!(bits(&learner.w_aug), bits(&want));
-        assert!(w.as_slice().iter().chain(&b).all(|v| v.is_finite()));
-
-        // Re-absorbing it restores definiteness: Auto refactors and vets the
-        // mirrored S, and the factor is valid again.
-        learner.absorb(&x, &t).unwrap();
-        ops.push((x, t, 1.0));
-        let (sys, rhs) = two_triangle(&ops, beta, lambda);
-        learner
-            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
-            .unwrap();
-        let (want, report) = solve_fresh(&sys, &rhs, SolverPolicy::Auto);
-        assert_eq!(report.used, Some(SolverKind::Cholesky));
-        assert_eq!(learner.report.used, report.used);
-        assert_eq!(
-            learner.report.rcond.map(f64::to_bits),
-            report.rcond.map(f64::to_bits)
-        );
-        assert_eq!(bits(&learner.w_aug), bits(&want));
-        assert!(!learner.factor_stale());
+        assert!(learner.report.escalated);
+        assert_eq!(learner.w_aug, solve_fresh(&sys, &rhs, SolverPolicy::Auto));
     }
 }

@@ -525,6 +525,15 @@ impl Cholesky {
         Ok(())
     }
 
+    /// Log-determinant of the original matrix, `log det A = 2 Σ log L[i][i]`;
+    /// NaN while the factor is invalid.
+    pub fn log_det(&self) -> f64 {
+        if !self.is_valid() {
+            return f64::NAN;
+        }
+        (0..self.dim()).map(|i| self.u[(i, i)].ln()).sum::<f64>() * 2.0
+    }
+
     /// Cheap 1-norm reciprocal-condition estimate `1 / (‖A‖₁·est‖A⁻¹‖₁)`
     /// of the factored matrix — the vetting signal of
     /// [`crate::solver::SolverPolicy::Auto`].
@@ -808,6 +817,13 @@ mod tests {
     }
 
     #[test]
+    fn log_det_of_diagonal() {
+        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 8.0]]).unwrap();
+        let c = Cholesky::factor(&a).unwrap();
+        assert!((c.log_det() - (16.0_f64).ln()).abs() < 1e-12);
+    }
+
+    #[test]
     fn rcond_tracks_true_conditioning() {
         let mut work = Vec::new();
         // Well-conditioned: estimate lands in the right decade.
@@ -892,10 +908,12 @@ mod tests {
         }
     }
 
-    /// Every use of an invalid factor answers `err`; rcond reads 0.
+    /// Every use of an invalid factor answers `err`; rcond reads 0 and
+    /// the log-determinant NaN.
     fn assert_refuses(c: &mut Cholesky, err: &LinalgError) {
         let mut work = Vec::new();
         assert!(!c.is_valid());
+        assert!(c.log_det().is_nan());
         assert_eq!(c.solve_vec(&[1.0; 3]).as_ref(), Err(err));
         assert_eq!(c.solve(&Matrix::filled(3, 2, 1.0)).as_ref(), Err(err));
         assert_eq!(c.rank1_update(&[0.1; 3], &mut work).as_ref(), Err(err));
