@@ -6,7 +6,7 @@ use dfr_linalg::Matrix;
 use dfr_reservoir::mask::Mask;
 use dfr_reservoir::modular::{ModularDfr, ReservoirRun};
 use dfr_reservoir::nonlinearity::{Linear, Nonlinearity};
-use dfr_reservoir::representation::{Dprr, Representation};
+use dfr_reservoir::representation::Dprr;
 
 /// A DFR classifier (paper Fig. 2 plus the output layer of §3.1):
 /// modular reservoir, dot-product reservoir representation and a linear
@@ -280,11 +280,12 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
 
     /// Predicted class for a series.
     ///
-    /// The whole pass runs on the frozen-parameter kernels the serving
-    /// layer (`dfr-serve`) uses — the mask product, the stateless
-    /// recurrence ([`dfr_reservoir::modular::run_frozen_into`]), the DPRR
-    /// reduction and the fused readout epilogue — so a frozen copy of this
-    /// model predicts **bitwise identically**, per sample or batched.
+    /// Runs the stored-history forward pass ([`DfrClassifier::forward`]).
+    /// The serving layer (`dfr-serve`) gets its features from the
+    /// history-free kernel [`dfr_reservoir::lanes::dprr_lanes`] instead,
+    /// which is pinned bitwise equal to this pass's `1/T`-scaled DPRR, and
+    /// shares its fused readout epilogue — so a frozen copy of this model
+    /// predicts **bitwise identically**, per sample or batched.
     ///
     /// # Errors
     ///

@@ -468,13 +468,14 @@ mod tests {
         let u = series(12);
         let standard = m.forward(&u).expect("standard");
         let streaming = StreamingForward::paper().run(&m, &u).expect("streaming");
-        assert_eq!(standard.features.len(), streaming.features.len());
-        for (a, b) in standard.features.iter().zip(&streaming.features) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        for (a, b) in standard.probs.iter().zip(&streaming.probs) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_bitwise(&standard.features, &streaming.features);
+        assert_bitwise(&standard.probs, &streaming.probs);
+    }
+
+    /// The module's promise: bit-identity, not closeness.
+    fn assert_bitwise(want: &[f64], got: &[f64]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{got:?} vs {want:?}");
     }
 
     #[test]
@@ -554,12 +555,8 @@ mod tests {
         let standard = m.forward(&u).expect("standard");
         let streaming = StreamingForward::paper().run(&m, &u).expect("streaming");
         assert_eq!(streaming.t_len, 1);
-        for (a, b) in standard.features.iter().zip(&streaming.features) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        for (a, b) in standard.probs.iter().zip(&streaming.probs) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_bitwise(&standard.features, &streaming.features);
+        assert_bitwise(&standard.probs, &streaming.probs);
     }
 
     #[test]

@@ -368,7 +368,7 @@ where
 /// thread count and kernel.
 ///
 /// [`Kernel::lanes`]: dfr_linalg::kernels::Kernel::lanes
-/// [`Dprr::features_into`]: dfr_reservoir::representation::Representation::features_into
+/// [`Dprr::features_into`]: dfr_reservoir::representation::Dprr::features_into
 ///
 /// # Errors
 ///
@@ -414,13 +414,6 @@ where
             if !in_lanes {
                 for (s, row) in group.iter().zip(rows.chunks_exact_mut(dim)) {
                     dprr_lanes::<_, 1>(dfr, std::slice::from_ref(s), row, scratch)?;
-                }
-            }
-            for (s, row) in group.iter().zip(rows.chunks_exact_mut(dim)) {
-                // Same per-sample 1/T scaling as the forward pass.
-                let scale = 1.0 / (s.rows().max(1) as f64);
-                for f in row {
-                    *f *= scale;
                 }
             }
             Ok::<(), CoreError>(())

@@ -602,7 +602,7 @@ fn reference_features(
     m: &DfrClassifier,
     series: &[Matrix],
 ) -> Result<Vec<u64>, dfr_core::CoreError> {
-    use dfr_reservoir::representation::{Dprr, Representation};
+    use dfr_reservoir::representation::Dprr;
     let mut run = dfr_reservoir::ReservoirRun::empty();
     let mut bits = Vec::new();
     for s in series {

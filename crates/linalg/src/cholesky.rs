@@ -145,7 +145,7 @@ impl Cholesky {
     /// solver refactors with.
     ///
     /// The factorisation is blocked right-looking: columns are factored
-    /// [`NB`] at a time (left-looking within the panel) and the trailing
+    /// `NB` at a time (left-looking within the panel) and the trailing
     /// submatrix is updated through the subtractive GEMM microkernel of
     /// [`crate::gemm`]. Blocking only regroups *when* each
     /// `l[i][k]·l[j][k]` term is subtracted — per element every term is
@@ -293,7 +293,7 @@ impl Cholesky {
     /// [`Cholesky::solve`] writing into a caller-owned output matrix
     /// (resized to `b.shape()`, allocation reused).
     ///
-    /// Right-hand-side columns are substituted [`SOLVE_BLOCK`] at a time,
+    /// Right-hand-side columns are substituted `SOLVE_BLOCK` at a time,
     /// each block's lanes held in registers while the rows of `U` stream
     /// past: per element the subtraction order over `k` is identical to
     /// the column-by-column [`Cholesky::solve_vec`] loop, so results are

@@ -1,5 +1,11 @@
-//! Lane-batched DPRR features: `L` equal-length series streamed through
-//! mask → recurrence → DPRR at once, one series per SIMD lane.
+//! The history-free feature kernel: `L` equal-length series streamed
+//! through mask → recurrence → DPRR → `1/T` at once, one series per SIMD
+//! lane.
+//!
+//! Every forward pass that needs only features runs it: grid search's
+//! `dfr_core::trainer::features_for_into` at the dispatched kernel's lane
+//! width (one lane for ragged groups and re-runs), and the serving layer
+//! (`dfr-serve`) one lane per request.
 //!
 //! The per-sample path ([`ModularDfr::run_into`] then
 //! [`Dprr::features_into`]) stores the `T × N_x` masked drive and state
@@ -25,7 +31,7 @@
 //! * `z = j + d` with `d = +0.0` before the first step, then
 //!   `s = A·f(z) + B·s_prev`, multiplies and adds never fused;
 //! * every DPRR element receives its terms one `+=` at a time in ascending
-//!   step order.
+//!   step order, and is multiplied by `1/max(T, 1)` once, on the way out.
 //!
 //! Step 0 is folded against the zero row `x(−1)` like any other step. Its
 //! product terms are `±0.0`, and adding `±0.0` to an accumulator that
@@ -40,7 +46,7 @@
 
 use crate::modular::{ModularDfr, DIVERGENCE_LIMIT};
 use crate::nonlinearity::Nonlinearity;
-use crate::representation::{Dprr, Representation};
+use crate::representation::Dprr;
 use crate::ReservoirError;
 use dfr_linalg::Matrix;
 
@@ -62,11 +68,15 @@ impl LaneScratch {
     }
 }
 
-/// Writes the DPRR features of `L` equal-length series into `out`, row `l`
-/// (`out[l·dim..(l+1)·dim]`, `dim = N_x(N_x+1)`) for `series[l]`.
+/// Writes the DPRR features of `L` equal-length series, scaled by
+/// `1/max(T, 1)`, into `out`: row `l` (`out[l·dim..(l+1)·dim]`,
+/// `dim = N_x(N_x+1)`) for `series[l]`.
 ///
 /// Each row is bitwise equal to [`Dprr::features_into`] of the states that
-/// [`ModularDfr::run_into`] produces for the same series.
+/// [`ModularDfr::run_into`] produces for the same series, each element then
+/// multiplied by `1/max(T, 1)` — the feature scaling of the classifier's
+/// forward pass. The scaling happens as the rows are copied out of the
+/// accumulator: one rounding per element, as in a separate multiply.
 ///
 /// `#[inline(always)]` so that a `dfr_linalg::kernels::LaneBody` calling
 /// it is compiled for the dispatched kernel's instruction set.
@@ -155,9 +165,10 @@ pub fn dprr_lanes<N: Nonlinearity, const L: usize>(
         k += steps;
     }
 
+    let scale = 1.0 / (t_len.max(1) as f64);
     for (l, row) in out.chunks_exact_mut(dim).enumerate() {
         for (o, v) in row.iter_mut().zip(acc.chunks_exact(L)) {
-            *o = v[l];
+            *o = v[l] * scale;
         }
     }
     Ok(())
@@ -266,11 +277,17 @@ mod tests {
         .unwrap()
     }
 
-    /// The per-sample reference: stored run, then the DPRR of its states.
+    /// The per-sample reference: stored run, the DPRR of its states, then
+    /// the forward pass's `1/max(T, 1)` scaling.
     fn reference<N: Nonlinearity>(dfr: &ModularDfr<N>, s: &Matrix) -> Vec<f64> {
         let mut run = ReservoirRun::empty();
         dfr.run_into(s, &mut run).unwrap();
-        Dprr.features(run.states())
+        let scale = 1.0 / (s.rows().max(1) as f64);
+        let mut r = Dprr.features(run.states());
+        for f in &mut r {
+            *f *= scale;
+        }
+        r
     }
 
     fn check<N: Nonlinearity, const L: usize>(dfr: &ModularDfr<N>, group: &[Matrix]) {

@@ -17,12 +17,12 @@
 //!   masks (multivariate inputs use an `N_x × C` mask matrix).
 //! * [`nonlinearity`] — pluggable one-input one-output functions `f` with
 //!   analytic derivatives, as required for backpropagation.
-//! * [`representation`] — reservoir representations turning the `T × N_x`
-//!   state history into fixed-length features; [`representation::Dprr`] is
-//!   the dot-product reservoir representation of paper §2.2.
-//! * [`lanes`] — the streaming feature kernel: several equal-length series
-//!   at once, one per SIMD lane, through mask → recurrence → DPRR without
-//!   storing the state history.
+//! * [`representation`] — [`representation::Dprr`], the dot-product
+//!   reservoir representation of paper §2.2, turning the `T × N_x` state
+//!   history into fixed-length features.
+//! * [`lanes`] — the history-free feature kernel: one or several
+//!   equal-length series at once, one per SIMD lane, through mask →
+//!   recurrence → DPRR → `1/T` without storing the state history.
 //!
 //! # Example
 //!
@@ -30,7 +30,7 @@
 //! use dfr_linalg::Matrix;
 //! use dfr_reservoir::mask::Mask;
 //! use dfr_reservoir::modular::ModularDfr;
-//! use dfr_reservoir::representation::{Dprr, Representation};
+//! use dfr_reservoir::representation::Dprr;
 //!
 //! # fn main() -> Result<(), dfr_reservoir::ReservoirError> {
 //! let mask = Mask::binary(30, 1, 42);           // N_x = 30, one channel

@@ -260,75 +260,37 @@ impl<N: Nonlinearity> ModularDfr<N> {
         self.drive(&run.masked, &mut run.states)
     }
 
-    /// The recurrence kernel, shared with the frozen serving path: see
-    /// [`run_frozen_into`]. Every entry point funnels through it, so the
-    /// owning, buffer-reusing and frozen forms are bitwise identical.
+    /// The flattened recurrence `s_t = A·f(j_t + s_{t-Nx}) + B·s_{t-1}`
+    /// over a `T × N_x` masked drive, into a pre-sized `states` (row `k` is
+    /// `x(k+1)` in the paper's 1-based notation). Every entry point funnels
+    /// through it, so the owning and buffer-reusing forms are bitwise
+    /// identical.
     fn drive(&self, masked: &Matrix, states: &mut Matrix) -> Result<(), ReservoirError> {
-        drive_frozen(self.a, self.b, &self.nonlinearity, masked, states)
-    }
-}
-
-/// The flattened recurrence `s_t = A·f(j_t + s_{t-Nx}) + B·s_{t-1}` driven
-/// against **borrowed frozen parameters** — the stateless single-pass run
-/// the serving layer (`dfr-serve`) uses against a [`FrozenModel`]'s
-/// borrowed `(A, B)` without constructing a [`ModularDfr`].
-///
-/// `masked` is the `T × N_x` masked drive; `states` is resized to the same
-/// shape (allocation reused) and overwritten — row `k` is `x(k+1)` in the
-/// paper's 1-based notation. [`ModularDfr`] funnels every owning and
-/// buffer-reusing entry point through this exact kernel, so frozen-path
-/// results are bitwise identical to the training-path forward pass.
-///
-/// [`FrozenModel`]: https://docs.rs/dfr-serve
-///
-/// # Errors
-///
-/// Returns [`ReservoirError::Diverged`] if any state becomes non-finite or
-/// exceeds [`DIVERGENCE_LIMIT`]. The caller validates the channel count
-/// (`masked.cols()` must already be `N_x`).
-pub fn run_frozen_into<N: Nonlinearity>(
-    a: f64,
-    b: f64,
-    nonlinearity: &N,
-    masked: &Matrix,
-    states: &mut Matrix,
-) -> Result<(), ReservoirError> {
-    states.resize(masked.rows(), masked.cols());
-    drive_frozen(a, b, nonlinearity, masked, states)
-}
-
-/// [`run_frozen_into`] against a pre-sized `states` (the internal form the
-/// [`ModularDfr`] entry points call after their own resize).
-fn drive_frozen<N: Nonlinearity>(
-    a: f64,
-    b: f64,
-    nonlinearity: &N,
-    masked: &Matrix,
-    states: &mut Matrix,
-) -> Result<(), ReservoirError> {
-    let nx = masked.cols();
-    let t_len = masked.rows();
-    debug_assert_eq!(states.shape(), (t_len, nx));
-    let mut prev_chain = 0.0; // s_{t-1}, carried across rows
-    for k in 0..t_len {
-        let j_row = masked.row(k);
-        // Split off row k so the delayed row k−1 stays borrowable.
-        let (head, tail) = states.as_mut_slice().split_at_mut(k * nx);
-        let row = &mut tail[..nx];
-        let delayed = &head[head.len().saturating_sub(nx)..];
-        for n in 0..nx {
-            // s_{t-Nx} is the same node at the previous input step.
-            let d = if k == 0 { 0.0 } else { delayed[n] };
-            let z = j_row[n] + d;
-            let s = a * nonlinearity.eval(z) + b * prev_chain;
-            if !s.is_finite() || s.abs() > DIVERGENCE_LIMIT {
-                return Err(ReservoirError::Diverged { step: k });
+        let (a, b) = (self.a, self.b);
+        let nx = masked.cols();
+        let t_len = masked.rows();
+        debug_assert_eq!(states.shape(), (t_len, nx));
+        let mut prev_chain = 0.0; // s_{t-1}, carried across rows
+        for k in 0..t_len {
+            let j_row = masked.row(k);
+            // Split off row k so the delayed row k−1 stays borrowable.
+            let (head, tail) = states.as_mut_slice().split_at_mut(k * nx);
+            let row = &mut tail[..nx];
+            let delayed = &head[head.len().saturating_sub(nx)..];
+            for n in 0..nx {
+                // s_{t-Nx} is the same node at the previous input step.
+                let d = if k == 0 { 0.0 } else { delayed[n] };
+                let z = j_row[n] + d;
+                let s = a * self.nonlinearity.eval(z) + b * prev_chain;
+                if !s.is_finite() || s.abs() > DIVERGENCE_LIMIT {
+                    return Err(ReservoirError::Diverged { step: k });
+                }
+                row[n] = s;
+                prev_chain = s;
             }
-            row[n] = s;
-            prev_chain = s;
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The result of one reservoir pass: masked drive and state history.
@@ -551,34 +513,6 @@ mod tests {
                 assert!((rebuilt - run.states()[(k, n)]).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn run_frozen_into_matches_run_bitwise() {
-        let dfr = ModularDfr::linear(Mask::binary(5, 2, 9), 0.15, 0.35).unwrap();
-        let series = constant_series(11, 2);
-        let via_run = dfr.run(&series).unwrap();
-        // Stale oversized buffer must be resized, not leak stale rows.
-        let mut states = Matrix::filled(20, 5, 7.0);
-        run_frozen_into(
-            dfr.a(),
-            dfr.b(),
-            dfr.nonlinearity(),
-            via_run.masked(),
-            &mut states,
-        )
-        .unwrap();
-        assert_eq!(&states, via_run.states());
-    }
-
-    #[test]
-    fn run_frozen_into_detects_divergence() {
-        let mut states = Matrix::zeros(0, 0);
-        let big = Matrix::filled(400, 4, 1e300);
-        assert!(matches!(
-            run_frozen_into(10.0, 10.0, &crate::nonlinearity::Linear, &big, &mut states),
-            Err(ReservoirError::Diverged { .. })
-        ));
     }
 
     #[test]

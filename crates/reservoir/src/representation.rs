@@ -1,36 +1,12 @@
-//! Reservoir representations: fixed-length features from a state history.
+//! The reservoir representation: fixed-length features from a state history.
 //!
 //! Classification needs one feature vector per (variable-length) series, so
 //! the `T × N_x` state history is reduced to a fixed-size *reservoir
 //! representation* (paper §2.2). [`Dprr`] is the paper's choice — the
 //! dot-product reservoir representation, the best known trade-off of
-//! accuracy and circuit size. [`LastState`] and [`MeanState`] are simpler
-//! baselines used for ablations.
+//! accuracy and circuit size.
 
 use dfr_linalg::Matrix;
-
-/// Maps a `T × N_x` state history to a fixed-length feature vector.
-pub trait Representation: std::fmt::Debug + Send + Sync {
-    /// Feature dimension for a reservoir of `nx` virtual nodes.
-    fn dim(&self, nx: usize) -> usize;
-
-    /// Writes the features of `states` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.dim(states.cols())`.
-    fn features_into(&self, states: &Matrix, out: &mut [f64]);
-
-    /// Convenience wrapper allocating the output vector.
-    fn features(&self, states: &Matrix) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim(states.cols())];
-        self.features_into(states, &mut out);
-        out
-    }
-
-    /// Short display name for reports.
-    fn name(&self) -> &'static str;
-}
 
 /// The dot-product reservoir representation (paper Eqs. 10–11, 18–19).
 ///
@@ -47,7 +23,7 @@ pub trait Representation: std::fmt::Debug + Send + Sync {
 ///
 /// ```
 /// use dfr_linalg::Matrix;
-/// use dfr_reservoir::representation::{Dprr, Representation};
+/// use dfr_reservoir::representation::Dprr;
 ///
 /// # fn main() -> Result<(), dfr_linalg::LinalgError> {
 /// let states = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
@@ -63,12 +39,26 @@ pub trait Representation: std::fmt::Debug + Send + Sync {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Dprr;
 
-impl Representation for Dprr {
-    fn dim(&self, nx: usize) -> usize {
+impl Dprr {
+    /// Feature dimension `N_x(N_x+1)` for a reservoir of `nx` virtual nodes.
+    pub fn dim(&self, nx: usize) -> usize {
         nx * (nx + 1)
     }
 
-    fn features_into(&self, states: &Matrix, out: &mut [f64]) {
+    /// Convenience wrapper around [`Dprr::features_into`] allocating the
+    /// output vector.
+    pub fn features(&self, states: &Matrix) -> Vec<f64> {
+        let mut out = vec![0.0; self.dim(states.cols())];
+        self.features_into(states, &mut out);
+        out
+    }
+
+    /// Writes the features of the `T × N_x` history `states` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.dim(states.cols())`.
+    pub fn features_into(&self, states: &Matrix, out: &mut [f64]) {
         let nx = states.cols();
         let t_len = states.rows();
         assert_eq!(out.len(), self.dim(nx), "output buffer has wrong length");
@@ -134,66 +124,6 @@ impl Representation for Dprr {
             k += 1;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "dprr"
-    }
-}
-
-/// The final reservoir state `x(T)` as features (`N_x` values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct LastState;
-
-impl Representation for LastState {
-    fn dim(&self, nx: usize) -> usize {
-        nx
-    }
-
-    fn features_into(&self, states: &Matrix, out: &mut [f64]) {
-        let nx = states.cols();
-        assert_eq!(out.len(), nx, "output buffer has wrong length");
-        if states.rows() == 0 {
-            out.fill(0.0);
-        } else {
-            out.copy_from_slice(states.row(states.rows() - 1));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "last-state"
-    }
-}
-
-/// The time-averaged reservoir state as features (`N_x` values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MeanState;
-
-impl Representation for MeanState {
-    fn dim(&self, nx: usize) -> usize {
-        nx
-    }
-
-    fn features_into(&self, states: &Matrix, out: &mut [f64]) {
-        let nx = states.cols();
-        assert_eq!(out.len(), nx, "output buffer has wrong length");
-        out.fill(0.0);
-        let t_len = states.rows();
-        if t_len == 0 {
-            return;
-        }
-        for k in 0..t_len {
-            for (o, &x) in out.iter_mut().zip(states.row(k)) {
-                *o += x;
-            }
-        }
-        for o in out.iter_mut() {
-            *o /= t_len as f64;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "mean-state"
-    }
 }
 
 /// Accumulates `row += c · x` one element-`+=` at a time.
@@ -231,29 +161,6 @@ fn rank4(
         v += c3 * x3[j];
         row[j] = v;
     }
-}
-
-/// Builds the feature matrix for a batch of state histories (one row per
-/// sample) using any representation.
-///
-/// Samples are independent, so rows are computed in parallel over the
-/// [`dfr_pool`] execution layer — each worker owns a contiguous band of
-/// output rows and every row is produced by the same per-sample kernel,
-/// making the result bit-identical at every thread count.
-pub fn feature_matrix<R: Representation + ?Sized>(rep: &R, runs: &[Matrix]) -> Matrix {
-    if runs.is_empty() {
-        return Matrix::zeros(0, 0);
-    }
-    let nx = runs[0].cols();
-    let dim = rep.dim(nx);
-    let mut out = Matrix::zeros(runs.len(), dim);
-    if dim == 0 {
-        return out;
-    }
-    dfr_pool::par_chunks_mut(out.as_mut_slice(), dim, |i, row| {
-        rep.features_into(&runs[i], row);
-    });
-    out
 }
 
 #[cfg(test)]
@@ -331,34 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn last_state() {
-        let r = LastState.features(&states());
-        assert_eq!(r, vec![-0.5, 3.0]);
-    }
-
-    #[test]
-    fn mean_state() {
-        let r = MeanState.features(&states());
-        assert!((r[0] - (1.0 + 2.0 - 0.5) / 3.0).abs() < 1e-12);
-        assert!((r[1] - (-1.0 + 0.5 + 3.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_history() {
         let empty = Matrix::zeros(0, 3);
-        assert_eq!(LastState.features(&empty), vec![0.0; 3]);
-        assert_eq!(MeanState.features(&empty), vec![0.0; 3]);
         assert_eq!(Dprr.features(&empty), vec![0.0; 12]);
-    }
-
-    #[test]
-    fn feature_matrix_shapes() {
-        let runs = vec![states(), states()];
-        let m = feature_matrix(&Dprr, &runs);
-        assert_eq!(m.shape(), (2, 6));
-        assert_eq!(m.row(0), m.row(1));
-        let empty: Vec<Matrix> = vec![];
-        assert_eq!(feature_matrix(&Dprr, &empty).shape(), (0, 0));
     }
 
     #[test]

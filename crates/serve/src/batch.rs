@@ -5,9 +5,8 @@ use crate::ServeError;
 use dfr_linalg::activation::{dense_bias_softmax_into, dense_bias_softmax_rows_into};
 use dfr_linalg::stats::argmax;
 use dfr_linalg::{GemmWorkspace, Matrix};
-use dfr_reservoir::modular::run_frozen_into;
+use dfr_reservoir::lanes::{dprr_lanes, LaneScratch};
 use dfr_reservoir::nonlinearity::Linear;
-use dfr_reservoir::representation::{Dprr, Representation};
 use dfr_reservoir::ReservoirError;
 use std::ops::Range;
 
@@ -98,23 +97,22 @@ impl Iterator for Batches {
     }
 }
 
-/// One worker's scratch for the per-sample half of serving: normalization
-/// and mask buffers, reservoir states, and the small per-sample feature /
-/// logit / probability vectors ([`FrozenModel::predict_one`] uses those;
-/// the batch path writes features straight into the batch matrix).
+/// One worker's scratch for the per-sample half of serving: the
+/// normalization buffer, the feature kernel's scratch, and the small
+/// per-sample feature / logit / probability vectors
+/// ([`FrozenModel::predict_one`] uses those; the batch path writes
+/// features straight into the batch matrix).
 ///
 /// Grows to the workload's high-water mark on first use and is recycled
-/// afterwards — the workspace-buffer convention of `DESIGN.md` §9.
+/// afterwards — the workspace-buffer convention of `DESIGN.md` §9. Only the
+/// normalization buffer grows with the series length `T`; the kernel
+/// scratch is sized by `N_x` and `C`.
 #[derive(Debug, Clone, Default)]
 pub struct ServeWorkspace {
-    /// GEMM packing panels for the mask product.
-    gemm: GemmWorkspace,
     /// `(x − mean) / std` transformed input (used only with normalization).
     normalized: Matrix,
-    /// Masked drive `T × N_x`.
-    masked: Matrix,
-    /// Reservoir state history `T × N_x`.
-    states: Matrix,
+    /// Buffers of the history-free feature kernel.
+    lanes: LaneScratch,
     /// Per-sample DPRR features (length `N_r`).
     features: Vec<f64>,
     /// Per-sample readout pre-activations (length `N_y`).
@@ -196,11 +194,11 @@ impl FrozenModel {
     /// the public surface is [`ServeSession`](crate::ServeSession), which
     /// owns the `state` this form threads explicitly).
     ///
-    /// The per-sample half (normalize → mask product → frozen reservoir
-    /// recurrence → DPRR features) fans out over [`dfr_pool`] in contiguous
-    /// bands with one persistent [`ServeWorkspace`] per band; the readout
-    /// half runs once per [`BatchPlan`] group as a single GEMM +
-    /// bias + softmax epilogue. Every row's arithmetic is the training-side
+    /// The per-sample half (normalize → the history-free feature kernel
+    /// `dprr_lanes`: mask → recurrence → DPRR → `1/T`) fans out over
+    /// [`dfr_pool`] in contiguous bands with one persistent
+    /// [`ServeWorkspace`] per band; the readout half runs once per
+    /// [`BatchPlan`] group as a single GEMM + bias + softmax epilogue. Every row's arithmetic is the training-side
     /// per-sample kernel sequence, so predictions **and probabilities** are
     /// bitwise identical to calling
     /// [`DfrClassifier::predict`](dfr_core::DfrClassifier::predict) per
@@ -264,22 +262,13 @@ impl FrozenModel {
                     part_lens,
                     workers,
                     |pi, band, ws| -> Result<(), ServeError> {
-                        let ServeWorkspace {
-                            gemm,
-                            normalized,
-                            masked,
-                            states,
-                            ..
-                        } = ws;
                         let base = range.start + row_offsets[pi];
                         for (r, row) in band.chunks_exact_mut(nr).enumerate() {
                             let index = base + r;
                             self.sample_features(
                                 &series[index],
-                                gemm,
-                                normalized,
-                                masked,
-                                states,
+                                &mut ws.normalized,
+                                &mut ws.lanes,
                                 row,
                             )
                             .map_err(|source| ServeError::Sample { index, source })?;
@@ -370,31 +359,26 @@ impl FrozenModel {
         ws.logits.resize(ny, 0.0);
         ws.probs.resize(ny, 0.0);
         let ServeWorkspace {
-            gemm,
             normalized,
-            masked,
-            states,
+            lanes,
             features,
             logits,
             probs,
         } = ws;
-        self.sample_features(series, gemm, normalized, masked, states, features)
+        self.sample_features(series, normalized, lanes, features)
             .map_err(|source| ServeError::Sample { index: 0, source })?;
         dense_bias_softmax_into(&self.w_out, features, &self.bias, logits, probs)?;
         Ok(argmax(probs).expect("at least one class"))
     }
 
-    /// The shared per-sample kernel sequence: optional normalization, mask
-    /// product (GEMM), frozen reservoir recurrence, DPRR features with the
-    /// `1/T` scaling of the training-side forward pass. Writes the `N_r`
-    /// features into `out`.
+    /// The shared per-sample sequence: optional normalization, then the
+    /// history-free feature kernel (mask → recurrence → DPRR → `1/T`), one
+    /// lane. Writes the `N_r` features into `out`.
     fn sample_features(
         &self,
         series: &Matrix,
-        gemm: &mut GemmWorkspace,
         normalized: &mut Matrix,
-        masked: &mut Matrix,
-        states: &mut Matrix,
+        lanes: &mut LaneScratch,
         out: &mut [f64],
     ) -> Result<(), ReservoirError> {
         if series.cols() != self.channels() {
@@ -426,16 +410,7 @@ impl FrozenModel {
             }
             None => series,
         };
-        input
-            .matmul_t_into_ws(&self.mask, masked, gemm)
-            .expect("channel count checked above");
-        run_frozen_into(self.a, self.b, &Linear, masked, states)?;
-        Dprr.features_into(states, out);
-        let scale = 1.0 / (states.rows() as f64);
-        for f in out.iter_mut() {
-            *f *= scale;
-        }
-        Ok(())
+        dprr_lanes::<Linear, 1>(&self.reservoir, &[input], out, lanes)
     }
 }
 

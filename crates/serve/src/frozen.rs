@@ -4,7 +4,10 @@
 use crate::ServeError;
 use dfr_core::DfrClassifier;
 use dfr_linalg::Matrix;
-use dfr_reservoir::representation::{Dprr, Representation};
+use dfr_reservoir::mask::Mask;
+use dfr_reservoir::modular::ModularDfr;
+use dfr_reservoir::nonlinearity::Linear;
+use dfr_reservoir::representation::Dprr;
 
 /// Version of the serialized layout. Bumped whenever the byte layout
 /// changes; [`FrozenModel::from_bytes`] rejects other versions.
@@ -19,8 +22,8 @@ const FLAG_NORM: u32 = 1;
 /// A trained DFR classifier frozen for serving: input mask, reservoir
 /// gains `(A, B)`, readout weights and bias, and (optionally) the
 /// per-channel standardization constants fitted on the training split —
-/// everything [`predict_batch_into`](FrozenModel::predict_batch_into)
-/// needs, and nothing training-only.
+/// everything a [`ServeSession`](crate::ServeSession) needs to predict,
+/// and nothing training-only.
 ///
 /// The model serializes to one contiguous, versioned byte layout
 /// ([`FrozenModel::to_bytes`], documented in `DESIGN.md` §11) whose
@@ -33,12 +36,9 @@ const FLAG_NORM: u32 = 1;
 /// (linear `f`): a nonlinearity tag would need a format-version bump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenModel {
-    /// Nonlinear-path gain `A`.
-    pub(crate) a: f64,
-    /// Delay-line leak `B`.
-    pub(crate) b: f64,
-    /// Input mask, `N_x × C`.
-    pub(crate) mask: Matrix,
+    /// Input mask (`N_x × C`) and gains `(A, B)`, in the form the feature
+    /// kernel borrows.
+    pub(crate) reservoir: ModularDfr<Linear>,
     /// Readout weights, `N_y × N_x (N_x + 1)`.
     pub(crate) w_out: Matrix,
     /// Readout bias, length `N_y`.
@@ -56,9 +56,7 @@ impl FrozenModel {
     /// [`FrozenModel::with_normalization`]).
     pub fn freeze(model: &DfrClassifier) -> Self {
         FrozenModel::assemble(
-            model.reservoir().a(),
-            model.reservoir().b(),
-            model.reservoir().mask().matrix().clone(),
+            model.reservoir().clone(),
             model.w_out().clone(),
             model.bias().to_vec(),
             None,
@@ -89,9 +87,7 @@ impl FrozenModel {
             });
         }
         Ok(FrozenModel::assemble(
-            self.a,
-            self.b,
-            self.mask,
+            self.reservoir,
             self.w_out,
             self.bias,
             Some((means, stds)),
@@ -100,17 +96,13 @@ impl FrozenModel {
 
     /// Builds the struct and fixes its content digest.
     fn assemble(
-        a: f64,
-        b: f64,
-        mask: Matrix,
+        reservoir: ModularDfr<Linear>,
         w_out: Matrix,
         bias: Vec<f64>,
         norm: Option<(Vec<f64>, Vec<f64>)>,
     ) -> Self {
         let mut frozen = FrozenModel {
-            a,
-            b,
-            mask,
+            reservoir,
             w_out,
             bias,
             norm,
@@ -122,12 +114,12 @@ impl FrozenModel {
 
     /// Number of virtual nodes `N_x`.
     pub fn nodes(&self) -> usize {
-        self.mask.rows()
+        self.reservoir.nodes()
     }
 
     /// Number of input channels `C`.
     pub fn channels(&self) -> usize {
-        self.mask.cols()
+        self.reservoir.mask().channels()
     }
 
     /// Number of classes `N_y`.
@@ -142,12 +134,17 @@ impl FrozenModel {
 
     /// The reservoir gain `A`.
     pub fn a(&self) -> f64 {
-        self.a
+        self.reservoir.a()
     }
 
     /// The delay-line leak `B`.
     pub fn b(&self) -> f64 {
-        self.b
+        self.reservoir.b()
+    }
+
+    /// The `N_x × C` input mask matrix.
+    fn mask(&self) -> &Matrix {
+        self.reservoir.mask().matrix()
     }
 
     /// Per-channel `(means, stds)` applied before masking, if attached.
@@ -173,9 +170,9 @@ impl FrozenModel {
     /// classifier (possible only for hand-built byte streams).
     pub fn thaw(&self) -> Result<DfrClassifier, ServeError> {
         Ok(DfrClassifier::from_parts(
-            self.mask.clone(),
-            self.a,
-            self.b,
+            self.mask().clone(),
+            self.a(),
+            self.b(),
             self.w_out.clone(),
             self.bias.to_vec(),
         )?)
@@ -213,9 +210,9 @@ impl FrozenModel {
         bytes.extend_from_slice(&(c as u32).to_le_bytes());
         bytes.extend_from_slice(&(ny as u32).to_le_bytes());
         let mut push = |v: f64| bytes.extend_from_slice(&v.to_le_bytes());
-        push(self.a);
-        push(self.b);
-        for &v in self.mask.as_slice() {
+        push(self.a());
+        push(self.b());
+        for &v in self.mask().as_slice() {
             push(v);
         }
         for &v in self.w_out.as_slice() {
@@ -320,7 +317,10 @@ impl FrozenModel {
         let w_out = Matrix::from_vec(ny, nr, take(ny * nr)).expect("sized above");
         let bias = take(ny);
         let norm = has_norm.then(|| (take(c), take(c)));
-        let frozen = FrozenModel::assemble(a, b, mask, w_out, bias, norm);
+        // Every float is finite (checked above), so the gains are valid.
+        let reservoir = ModularDfr::linear(Mask::from_matrix(mask), a, b)
+            .expect("non-finite parameters rejected above");
+        let frozen = FrozenModel::assemble(reservoir, w_out, bias, norm);
         debug_assert_eq!(frozen.digest, stored, "digest is over the payload bits");
         Ok(frozen)
     }
@@ -367,9 +367,9 @@ impl FrozenModel {
                     )
                 })
         };
-        scalar("A", self.a, other.a)
-            .or_else(|| scalar("B", self.b, other.b))
-            .or_else(|| slice("mask", self.mask.as_slice(), other.mask.as_slice()))
+        scalar("A", self.a(), other.a())
+            .or_else(|| scalar("B", self.b(), other.b()))
+            .or_else(|| slice("mask", self.mask().as_slice(), other.mask().as_slice()))
             .or_else(|| slice("w_out", self.w_out.as_slice(), other.w_out.as_slice()))
             .or_else(|| slice("bias", &self.bias, &other.bias))
             .or_else(|| match (&self.norm, &other.norm) {

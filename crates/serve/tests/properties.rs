@@ -8,7 +8,8 @@
 
 use dfr_core::DfrClassifier;
 use dfr_linalg::Matrix;
-use dfr_serve::{BatchPlan, FrozenModel, ServeSession};
+use dfr_reservoir::ReservoirError;
+use dfr_serve::{BatchPlan, FrozenModel, ServeError, ServeSession};
 use proptest::prelude::*;
 
 /// A deterministic trained-shaped model: paper-default wiring with
@@ -236,6 +237,48 @@ fn pinned_width_is_bit_identical_to_ambient() {
             .build();
         let result = pinned.predict_batch(&series).unwrap();
         assert_eq!(result.predictions(), &expected[..], "width={width}");
+    }
+}
+
+/// A batch whose samples diverge reports the lowest failing index, with
+/// the divergence step the training-side forward pass reports for that
+/// sample, at pool widths 1 and 2 (the two failing samples fall in
+/// different bands at width 2).
+#[test]
+fn divergent_sample_reports_lowest_index_and_forward_step() {
+    let mut m = model(5, 2, 3, 17);
+    m.reservoir_mut().set_params(1.3, 0.6).unwrap();
+    let signal = |t: usize, amplitude: f64| {
+        Matrix::from_vec(
+            t,
+            2,
+            (0..t * 2)
+                .map(|k| amplitude * (0.5 + (k as f64 * 0.31).sin()))
+                .collect(),
+        )
+        .unwrap()
+    };
+    let mut series: Vec<Matrix> = (0..8).map(|i| signal(2 + i % 3, 1e-3)).collect();
+    // The lower index diverges later, so a wrong index shows as a wrong step.
+    series[2] = signal(300, 1e-2);
+    series[5] = signal(300, 1.0);
+    let step_of = |s: &Matrix| match m.forward(s).unwrap_err() {
+        dfr_core::CoreError::Reservoir(ReservoirError::Diverged { step }) => step,
+        other => panic!("expected divergence, got {other:?}"),
+    };
+    let (want, other) = (step_of(&series[2]), step_of(&series[5]));
+    assert!(want > other && other > 0, "steps {want} and {other}");
+    for width in [1usize, 2] {
+        let mut session = ServeSession::builder(FrozenModel::freeze(&m))
+            .threads(width)
+            .build();
+        match session.predict_batch(&series).unwrap_err() {
+            ServeError::Sample {
+                index,
+                source: ReservoirError::Diverged { step },
+            } => assert_eq!((index, step), (2, want), "width={width}"),
+            other => panic!("width={width}: unexpected error {other:?}"),
+        }
     }
 }
 

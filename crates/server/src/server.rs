@@ -123,7 +123,7 @@ pub struct ServerStats {
     shutdown_rejected: AtomicU64,
 }
 
-/// A point-in-time copy of [`ServerStats`].
+/// A point-in-time copy of the server's counters (`ServerStats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Connections accepted.
