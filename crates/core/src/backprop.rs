@@ -26,7 +26,7 @@
 use crate::model::{DfrClassifier, ForwardCache};
 use crate::workspace::BackpropWorkspace;
 use crate::CoreError;
-use dfr_linalg::activation::softmax_cross_entropy_grad_into;
+use dfr_linalg::activation::{cross_entropy, softmax_cross_entropy_grad_into};
 use dfr_linalg::Matrix;
 use dfr_reservoir::nonlinearity::Nonlinearity;
 
@@ -172,20 +172,93 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
     options: &BackpropOptions,
     ws: &mut BackpropWorkspace,
 ) -> Result<f64, CoreError> {
+    let nx = model.nodes();
+    let t_len = cache.run.len();
+    let window = options.mode.effective_window(t_len).min(t_len);
+    let k_start = t_len - window; // first input step to backpropagate through
+    let view = Trailing {
+        before: k_start.checked_sub(1).map(|k| cache.run.states().row(k)),
+        states: &cache.run.states().as_slice()[k_start * nx..],
+        masked: &cache.run.masked().as_slice()[k_start * nx..],
+        t_len,
+        features: &cache.features,
+        probs: &cache.probs,
+    };
+    let loss = backward_into(model, &view, target, ws)?;
+    if !options.mask_gradient {
+        ws.grads.mask = None;
+        return Ok(loss);
+    }
+    let mg = ws.grads.mask.get_or_insert_with(|| Matrix::zeros(0, 0));
+    mg.resize(nx, series.cols());
+    mg.fill_zero();
+    // ∂L/∂j(k)_n = A·f′(z)·ds, and j(k)_n = Σ_c M[n][c]·u(k)_c. Visited in
+    // the backward sweep's (k, n) order, so each entry sums its terms in
+    // descending k.
+    let a = model.reservoir().a();
+    let f = model.reservoir().nonlinearity();
+    for k in (k_start..t_len).rev() {
+        for n in (0..nx).rev() {
+            let z = cache.run.preactivation(k, n);
+            let dj = a * f.derivative(z) * ws.ds[(k - k_start, n)];
+            if dj != 0.0 {
+                for (c, &u) in series.row(k).iter().enumerate() {
+                    mg[(n, c)] += dj * u;
+                }
+            }
+        }
+    }
+    Ok(loss)
+}
+
+/// What the backward pass reads of a forward pass: the trailing window of
+/// `W` input steps `k₀..T`, plus the readout's inputs and outputs. The
+/// stored-history pass ([`backprop_into`]) and the history-free one
+/// ([`crate::streaming::streaming_backprop_into`], `W = 1`) both build
+/// one, so both run [`backward_into`].
+pub(crate) struct Trailing<'a> {
+    /// The state `x(k₀−1)` before the window; `None` when `k₀ = 0`
+    /// (`x(−1) ≡ 0`).
+    pub before: Option<&'a [f64]>,
+    /// The window's states `x(k₀)..x(T−1)`, `W × N_x` row-major.
+    pub states: &'a [f64],
+    /// The window's masked drive `j(k₀)..j(T−1)`, `W × N_x` row-major.
+    pub masked: &'a [f64],
+    /// Series length `T`.
+    pub t_len: usize,
+    /// The `1/T`-scaled DPRR features.
+    pub features: &'a [f64],
+    /// Softmax probabilities.
+    pub probs: &'a [f64],
+}
+
+/// The backward pass over a trailing window: readout gradients, then the
+/// DPRR and reservoir stages over the window's steps. Writes every
+/// gradient except the mask's into `ws.grads`; `ws.ds` keeps `∂L/∂s` of
+/// the window for a caller that wants `∂L/∂M`.
+///
+/// # Panics
+///
+/// Panics if `target.len()` differs from the model's class count.
+pub(crate) fn backward_into<N: Nonlinearity + Clone>(
+    model: &DfrClassifier<N>,
+    view: &Trailing<'_>,
+    target: &[f64],
+    ws: &mut BackpropWorkspace,
+) -> Result<f64, CoreError> {
     assert_eq!(
         target.len(),
         model.num_classes(),
         "target length must equal the class count"
     );
-    let loss = cache.loss(target);
+    let loss = cross_entropy(view.probs, target);
     let nx = model.nodes();
-    let t_len = cache.run.len();
     let nr = model.feature_dim();
     let ny = model.num_classes();
 
     // ---- Stage 1: output layer (Eqs. 16–17) -----------------------------
     ws.g.resize(ny, 0.0);
-    softmax_cross_entropy_grad_into(&cache.probs, target, &mut ws.g); // y − d
+    softmax_cross_entropy_grad_into(view.probs, target, &mut ws.g); // y − d
     ws.grads.bias.resize(ny, 0.0);
     ws.grads.bias.copy_from_slice(&ws.g);
     ws.grads.w_out.resize(ny, nr);
@@ -195,7 +268,7 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
             continue;
         }
         let row = ws.grads.w_out.row_mut(c);
-        for (w, &r) in row.iter_mut().zip(&cache.features) {
+        for (w, &r) in row.iter_mut().zip(view.features) {
             *w = gc * r;
         }
     }
@@ -205,22 +278,15 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
     // stage below needs — carries the same 1/T factor.
     ws.dr.resize(nr, 0.0);
     model.w_out().t_matvec_into(&ws.g, &mut ws.dr)?;
-    let scale = 1.0 / (cache.run.len().max(1) as f64);
+    let scale = 1.0 / (view.t_len.max(1) as f64);
     for d in &mut ws.dr {
         *d *= scale;
     }
     ws.grads.a = 0.0;
     ws.grads.b = 0.0;
-    if options.mask_gradient {
-        let mg = ws.grads.mask.get_or_insert_with(|| Matrix::zeros(0, 0));
-        mg.resize(nx, series.cols());
-        mg.fill_zero();
-    } else {
-        ws.grads.mask = None;
-    }
 
     // Degenerate empty series: only the readout has gradients.
-    if t_len == 0 {
+    if view.t_len == 0 {
         return Ok(loss);
     }
 
@@ -231,9 +297,12 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
         .copy_from_slice(&ws.dr[..nx * nx]);
     let dr_sums = &ws.dr[nx * nx..];
 
-    let window = options.mode.effective_window(t_len);
-    let k_start = t_len - window; // first input step to backpropagate through
-    let states = cache.run.states();
+    let window = view.states.len() / nx;
+    let state = |r: usize| &view.states[r * nx..(r + 1) * nx];
+    // x(k−1) for window row r: the previous window row, or `before`.
+    let delayed = |r: usize| (r > 0).then(|| state(r - 1)).or(view.before);
+    // z(k)_n = j(k)_n + x(k−1)_n, the pre-activation fed to f.
+    let z = |r: usize, n: usize| view.masked[r * nx + n] + delayed(r).map_or(0.0, |x| x[n]);
     let a = model.reservoir().a();
     let b = model.reservoir().b();
     let f = model.reservoir().nonlinearity();
@@ -248,21 +317,18 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
     ws.bpv.resize(window, nx);
     ws.bpv.fill_zero();
     ws.term.resize(nx, 0.0);
-    for k in k_start..t_len {
-        let row = k - k_start;
-        if k > 0 {
-            ws.dr_products
-                .matvec_into(states.row(k - 1), &mut ws.term)?;
-            ws.bpv.row_mut(row).copy_from_slice(&ws.term);
+    for r in 0..window {
+        if let Some(x_prev) = delayed(r) {
+            ws.dr_products.matvec_into(x_prev, &mut ws.term)?;
+            ws.bpv.row_mut(r).copy_from_slice(&ws.term);
         }
-        if k + 1 < t_len {
-            ws.dr_products
-                .t_matvec_into(states.row(k + 1), &mut ws.term)?;
-            for (o, &t2) in ws.bpv.row_mut(row).iter_mut().zip(&ws.term) {
+        if r + 1 < window {
+            ws.dr_products.t_matvec_into(state(r + 1), &mut ws.term)?;
+            for (o, &t2) in ws.bpv.row_mut(r).iter_mut().zip(&ws.term) {
                 *o += t2;
             }
         }
-        for (o, &s) in ws.bpv.row_mut(row).iter_mut().zip(dr_sums) {
+        for (o, &s) in ws.bpv.row_mut(r).iter_mut().zip(dr_sums) {
             *o += s;
         }
     }
@@ -274,35 +340,31 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
     ws.ds.fill_zero();
     let mut a_grad = 0.0;
     let mut b_grad = 0.0;
-    for k in (k_start..t_len).rev() {
-        let row = k - k_start;
+    for r in (0..window).rev() {
         for n in (0..nx).rev() {
-            let mut d = ws.bpv[(row, n)];
+            let mut d = ws.bpv[(r, n)];
             // B-chain successor: flattened t+1 is (k, n+1), or (k+1, 0).
             if n + 1 < nx {
-                d += b * ws.ds[(row, n + 1)];
-            } else if k + 1 < t_len {
-                d += b * ws.ds[(row + 1, 0)];
+                d += b * ws.ds[(r, n + 1)];
+            } else if r + 1 < window {
+                d += b * ws.ds[(r + 1, 0)];
             }
             // f-path successor: same node, next input step (t + Nx).
-            if k + 1 < t_len {
-                let z_next = cache.run.preactivation(k + 1, n);
-                d += a * f.derivative(z_next) * ws.ds[(row + 1, n)];
+            if r + 1 < window {
+                d += a * f.derivative(z(r + 1, n)) * ws.ds[(r + 1, n)];
             }
-            ws.ds[(row, n)] = d;
+            ws.ds[(r, n)] = d;
 
-            let z = cache.run.preactivation(k, n);
-            a_grad += f.eval(z) * d; // Eq. 31 / 35: ∂(A·f)/∂A = f(z)
-            b_grad += cache.run.chain_predecessor(k, n) * d; // Eq. 32 / 36
-            if let Some(mg) = &mut ws.grads.mask {
-                // ∂L/∂j(k)_n = A·f′(z)·ds, and j(k)_n = Σ_c M[n][c]·u(k)_c.
-                let dj = a * f.derivative(z) * d;
-                if dj != 0.0 {
-                    for (c, &u) in series.row(k).iter().enumerate() {
-                        mg[(n, c)] += dj * u;
-                    }
-                }
-            }
+            a_grad += f.eval(z(r, n)) * d; // Eq. 31 / 35: ∂(A·f)/∂A = f(z)
+
+            // Eq. 32 / 36: the B-path input x(k)_{n−1}, wrapping to the
+            // last node of x(k−1) (zero before the first step).
+            let chain = if n > 0 {
+                state(r)[n - 1]
+            } else {
+                delayed(r).map_or(0.0, |x| x[nx - 1])
+            };
+            b_grad += chain * d;
         }
     }
     ws.grads.a = a_grad;

@@ -1,34 +1,43 @@
-//! Constant-memory forward pass for truncated training.
+//! Constant-memory forward pass for the paper's truncated training.
 //!
 //! The storage claim of the paper's Table 2 — `2·N_x` reservoir-state
 //! values instead of `(T+1)·N_x` — is only realisable if the forward pass
-//! itself avoids materialising the state history. This module provides that
-//! pass: the DPRR accumulators are updated online while only the current
-//! and previous reservoir-state rows are kept, plus the trailing window the
-//! truncated backward pass needs (the paper's method keeps exactly the last
-//! two states).
+//! itself avoids materialising the state history. This module provides
+//! that pass at the paper's window `W = 1` (§3.4: only the last input step
+//! is backpropagated through):
 //!
-//! [`StreamingForward::run`] is bit-identical to the standard
-//! [`DfrClassifier::forward`] pipeline (tested), and
-//! [`streaming_backprop`] consumes its output to produce exactly the
-//! truncated gradients of Eqs. 33–36 — so a memory-constrained embedded
-//! training loop never holds more than
-//! `(W+1)·N_x + N_x(N_x+1) + N_y·(N_x(N_x+1)+1)` values, the paper's
-//! "simplified" count for `W = 1`.
+//! * [`StreamingForward::run_into`] gets the `1/T`-scaled DPRR features
+//!   from the history-free lane kernel [`dprr_lanes`] (one lane), the same
+//!   kernel grid search and serving run. The kernel's ring still holds its
+//!   final block on return, so `x(T−2)` and `x(T−1)` are read from it
+//!   ([`LaneScratch::last_two_states`]); the pass adds only the masked row
+//!   `j(T−1)` and the model's fused readout epilogue.
+//! * [`streaming_backprop_into`] hands that tail to the backward body that
+//!   [`crate::backprop::backprop_into`] also runs, as a one-step trailing
+//!   window.
+//!
+//! So the pair is bitwise equal to [`DfrClassifier::forward`] followed by
+//! `backprop_into` under [`BackpropMode::PAPER_TRUNCATED`] (tested), and a
+//! memory-constrained embedded training loop holds no state that grows
+//! with `T`: the two tail states the backward pass reads, plus the
+//! kernel's five-row ring and the `N_x(N_x+1)` DPRR accumulator. Windows
+//! `W > 1` stay on the stored-history path (`BackpropMode::Truncated`).
+//!
+//! [`BackpropMode::PAPER_TRUNCATED`]: crate::backprop::BackpropMode::PAPER_TRUNCATED
 
-use crate::backprop::{backprop, BackpropMode, BackpropOptions, Gradients};
+use crate::backprop::{backward_into, Gradients, Trailing};
 use crate::model::DfrClassifier;
 use crate::workspace::BackpropWorkspace;
 use crate::CoreError;
-use dfr_linalg::activation::{softmax_cross_entropy_grad_into, softmax_into};
+use dfr_linalg::activation::dense_bias_softmax_into;
 use dfr_linalg::Matrix;
-use dfr_reservoir::modular::DIVERGENCE_LIMIT;
+use dfr_reservoir::lanes::{dprr_lanes, LaneScratch};
 use dfr_reservoir::nonlinearity::Nonlinearity;
 use dfr_reservoir::ReservoirError;
 
 /// Output of a constant-memory forward pass: everything the truncated
-/// backward pass (Eqs. 33–36) needs, and nothing more.
-#[derive(Debug, Clone, PartialEq)]
+/// backward pass (Eqs. 33–36) needs, and nothing that grows with `T`.
+#[derive(Debug, Clone, Default)]
 pub struct StreamingCache {
     /// Normalized DPRR features (`N_x(N_x+1)`, scaled by `1/T`).
     pub features: Vec<f64>,
@@ -36,24 +45,23 @@ pub struct StreamingCache {
     pub logits: Vec<f64>,
     /// Softmax probabilities.
     pub probs: Vec<f64>,
-    /// The trailing reservoir states, oldest first: `window + 1` rows of
-    /// `N_x` (for the paper's `window = 1`: `x(T−1)` and `x(T)`).
-    pub tail_states: Matrix,
-    /// The masked drive of the trailing `window` steps (`window × N_x`).
-    pub tail_masked: Matrix,
-    /// Series length `T`.
+    /// Series length `T`; 0 until a pass succeeds.
     pub t_len: usize,
-    /// Rolling state `x(k−1)` scratch, reused across samples.
-    prev: Vec<f64>,
-    /// Rolling state `x(k)` scratch.
-    current: Vec<f64>,
-    /// Per-step masked drive `j(k)` scratch.
-    j_row: Vec<f64>,
+    /// The masked drive `j(T−1)` of the last step.
+    masked: Vec<f64>,
+    /// The lane kernel's buffers; its ring holds `x(T−2)` and `x(T−1)`.
+    lanes: LaneScratch,
 }
 
-impl Default for StreamingCache {
-    fn default() -> Self {
-        StreamingCache::empty()
+impl PartialEq for StreamingCache {
+    /// Compares what the pass produced, not the kernel's scratch.
+    fn eq(&self, other: &Self) -> bool {
+        self.features == other.features
+            && self.logits == other.logits
+            && self.probs == other.probs
+            && self.t_len == other.t_len
+            && self.masked == other.masked
+            && self.tail_states() == other.tail_states()
     }
 }
 
@@ -61,22 +69,13 @@ impl StreamingCache {
     /// An empty cache — the seed value for [`StreamingForward::run_into`]
     /// buffer reuse.
     pub fn empty() -> Self {
-        StreamingCache {
-            features: Vec::new(),
-            logits: Vec::new(),
-            probs: Vec::new(),
-            tail_states: Matrix::zeros(0, 0),
-            tail_masked: Matrix::zeros(0, 0),
-            t_len: 0,
-            prev: Vec::new(),
-            current: Vec::new(),
-            j_row: Vec::new(),
-        }
+        StreamingCache::default()
     }
-    /// Number of stored reservoir-state values — the quantity Table 2
-    /// counts as "simplified" storage.
+
+    /// Number of stored reservoir-state values the backward pass reads —
+    /// the quantity Table 2 counts as "simplified" storage (`2·N_x`).
     pub fn stored_state_values(&self) -> usize {
-        self.tail_states.len()
+        self.tail_states().len()
     }
 
     /// Cross-entropy loss against a one-hot target.
@@ -87,48 +86,34 @@ impl StreamingCache {
     pub fn loss(&self, target: &[f64]) -> f64 {
         dfr_linalg::activation::cross_entropy(&self.probs, target)
     }
+
+    /// `x(T−2)` then `x(T−1)` (`x(−1) ≡ 0`); empty before a pass succeeds.
+    fn tail_states(&self) -> &[f64] {
+        if self.t_len == 0 {
+            return &[];
+        }
+        self.lanes.last_two_states(self.t_len)
+    }
 }
 
-/// A constant-memory forward pass bound to a classifier and a truncation
-/// window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingForward {
-    window: usize,
-}
+/// The constant-memory forward pass of the paper's truncated training
+/// (window `W = 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StreamingForward;
 
 impl StreamingForward {
-    /// Creates a pass retaining the last `window` steps (the paper's
-    /// truncated method is `window = 1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if `window == 0`.
-    pub fn new(window: usize) -> Result<Self, CoreError> {
-        if window == 0 {
-            return Err(CoreError::InvalidConfig {
-                field: "window",
-                detail: "streaming forward needs a window of at least 1".into(),
-            });
-        }
-        Ok(StreamingForward { window })
-    }
-
-    /// The paper's configuration (`window = 1`).
+    /// The paper's configuration: the last input step only.
     pub fn paper() -> Self {
-        StreamingForward { window: 1 }
+        StreamingForward
     }
 
-    /// The retained window.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Runs the reservoir + DPRR + readout over `series` holding at most
-    /// `window + 1` state rows at any time.
+    /// Runs the reservoir + DPRR + readout over `series` without storing
+    /// its state history.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::Reservoir`] on channel mismatch or divergence.
+    /// * [`CoreError::Reservoir`] on an empty series, channel mismatch or
+    ///   divergence.
     /// * [`CoreError::Linalg`] on internal shape errors (unreachable for a
     ///   well-formed model).
     pub fn run<N: Nonlinearity + Clone>(
@@ -142,138 +127,57 @@ impl StreamingForward {
     }
 
     /// [`StreamingForward::run`] writing into a caller-owned cache — every
-    /// buffer (features, logits, trailing windows, rolling state scratch)
-    /// is recycled across samples, so a streaming training loop is
+    /// buffer is recycled across samples, so a streaming training loop is
     /// allocation-free after its first sample. Bitwise identical to
     /// [`StreamingForward::run`].
     ///
     /// # Errors
     ///
-    /// Same as [`StreamingForward::run`]; on error the cache contents are
-    /// unspecified.
+    /// Same as [`StreamingForward::run`]; on error the cache reads as
+    /// empty until a later pass succeeds.
     pub fn run_into<N: Nonlinearity + Clone>(
         &self,
         model: &DfrClassifier<N>,
         series: &Matrix,
         cache: &mut StreamingCache,
     ) -> Result<(), CoreError> {
+        cache.t_len = 0;
         let reservoir = model.reservoir();
-        let nx = reservoir.nodes();
-        if series.cols() != reservoir.mask().channels() {
-            return Err(ReservoirError::ChannelMismatch {
-                mask_channels: reservoir.mask().channels(),
-                input_channels: series.cols(),
-            }
-            .into());
-        }
+        cache.features.resize(model.feature_dim(), 0.0);
+        dprr_lanes::<N, 1>(reservoir, &[series], &mut cache.features, &mut cache.lanes)?;
         let t_len = series.rows();
         if t_len == 0 {
             // A 0-row series has no reservoir trajectory: the DPRR sums are
-            // all zero and the 1/T normalisation is undefined, so the old
-            // behaviour (silently emitting the bias-only prediction) hid
-            // client bugs. Reject it with the same typed error the serving
-            // feature kernel uses — the server maps it onto `BadInput`.
+            // all zero and the 1/T normalisation is undefined. Reject it
+            // with the same typed error the serving path uses — the server
+            // maps it onto `BadInput`.
             return Err(ReservoirError::EmptySeries.into());
         }
-        let a = reservoir.a();
-        let b = reservoir.b();
-        let f = reservoir.nonlinearity();
-        let window = self.window.min(t_len);
-
-        // DPRR accumulators live directly in the feature buffer (raw sums;
-        // scaled by 1/T in place at the end).
-        cache.features.resize(nx * (nx + 1), 0.0);
-        cache.features.fill(0.0);
-        let (products, sums) = cache.features.split_at_mut(nx * nx);
-        // Rolling states: prev = x(k−1), current = x(k).
-        cache.prev.resize(nx, 0.0);
-        cache.prev.fill(0.0);
-        cache.current.resize(nx, 0.0);
-        cache.j_row.resize(nx, 0.0);
-        // Trailing windows as fixed-size ring buffers: `pushes % rows` is
-        // the write slot; a final in-place rotation restores chronological
-        // order. No per-step allocation, no per-step row shifting.
-        let state_rows = (t_len + 1).min(window + 1);
-        cache.tail_states.resize(state_rows, nx);
-        let masked_rows = t_len.min(window);
-        cache.tail_masked.resize(masked_rows, nx);
-        cache.tail_states.row_mut(0).fill(0.0); // x(0) = 0, before the series
-        let mut state_pushes = 1usize;
-        let mut masked_pushes = 0usize;
-
-        let mut chain = 0.0; // s_{t−1} carried across rows
-        for k in 0..t_len {
-            // j(k) = M·u(k), computed row-wise (no T×N_x buffer).
-            let u = series.row(k);
-            for (n, jn) in cache.j_row.iter_mut().enumerate() {
-                *jn = dfr_linalg::dot(reservoir.mask().matrix().row(n), u);
-            }
-            for n in 0..nx {
-                let z = cache.j_row[n] + cache.prev[n];
-                let s = a * f.eval(z) + b * chain;
-                if !s.is_finite() || s.abs() > DIVERGENCE_LIMIT {
-                    return Err(ReservoirError::Diverged { step: k }.into());
-                }
-                cache.current[n] = s;
-                chain = s;
-            }
-            // DPRR update: products += x(k) ⊗ x(k−1); sums += x(k).
-            for (i, &xi) in cache.current.iter().enumerate() {
-                sums[i] += xi;
-                if xi != 0.0 {
-                    let row = &mut products[i * nx..(i + 1) * nx];
-                    for (p, &xj) in row.iter_mut().zip(&cache.prev) {
-                        *p += xi * xj;
-                    }
-                }
-            }
-            // Maintain the trailing windows.
-            cache
-                .tail_states
-                .row_mut(state_pushes % state_rows)
-                .copy_from_slice(&cache.current);
-            state_pushes += 1;
-            if masked_rows > 0 {
-                cache
-                    .tail_masked
-                    .row_mut(masked_pushes % masked_rows)
-                    .copy_from_slice(&cache.j_row);
-                masked_pushes += 1;
-            }
-            std::mem::swap(&mut cache.prev, &mut cache.current);
-        }
-        // Unroll the rings: the oldest retained row sits at `pushes % rows`
-        // once the ring has wrapped.
-        if state_pushes > state_rows {
-            let offset = state_pushes % state_rows;
-            cache.tail_states.as_mut_slice().rotate_left(offset * nx);
-        }
-        if masked_rows > 0 && masked_pushes > masked_rows {
-            let offset = masked_pushes % masked_rows;
-            cache.tail_masked.as_mut_slice().rotate_left(offset * nx);
-        }
-
-        // Scale features by 1/T in place and run the readout.
-        let scale = 1.0 / (t_len as f64);
-        for v in &mut cache.features {
-            *v *= scale;
+        // j(T−1) = M·u(T−1) in the kernel's order: from +0.0, channels
+        // ascending.
+        let u = series.row(t_len - 1);
+        let mask = reservoir.mask().matrix();
+        cache.masked.resize(reservoir.nodes(), 0.0);
+        for (n, j) in cache.masked.iter_mut().enumerate() {
+            *j = mask.row(n).iter().zip(u).fold(0.0, |j, (&m, &u)| j + u * m);
         }
         cache.logits.resize(model.num_classes(), 0.0);
-        model
-            .w_out()
-            .matvec_into(&cache.features, &mut cache.logits)?;
-        for (l, bias) in cache.logits.iter_mut().zip(model.bias()) {
-            *l += bias;
-        }
         cache.probs.resize(model.num_classes(), 0.0);
-        softmax_into(&cache.logits, &mut cache.probs);
+        dense_bias_softmax_into(
+            model.w_out(),
+            &cache.features,
+            model.bias(),
+            &mut cache.logits,
+            &mut cache.probs,
+        )?;
         cache.t_len = t_len;
         Ok(())
     }
 }
 
 /// Truncated backward pass (Eqs. 33–36) from a streaming cache — the
-/// constant-memory counterpart of [`crate::backprop::backprop`].
+/// constant-memory counterpart of [`crate::backprop::backprop`] under
+/// `BackpropMode::PAPER_TRUNCATED`, bitwise equal to it.
 ///
 /// Returns `(loss, gradients)`; mask gradients are not available in
 /// streaming mode (they would need the raw input window, which the paper's
@@ -297,10 +201,10 @@ pub fn streaming_backprop<N: Nonlinearity + Clone>(
 }
 
 /// [`streaming_backprop`] writing gradients and every intermediate into a
-/// reused [`BackpropWorkspace`] — the same workspace type the standard
-/// trainer uses, so an embedded streaming loop shares one scratch set for
-/// both passes. On success `ws.grads` holds the gradients; results are
-/// bitwise identical to [`streaming_backprop`].
+/// reused [`BackpropWorkspace`] — the same workspace type and the same
+/// backward body the standard trainer uses, over a one-step window. On
+/// success `ws.grads` holds the gradients; results are bitwise identical
+/// to [`streaming_backprop`].
 ///
 /// # Errors
 ///
@@ -316,136 +220,26 @@ pub fn streaming_backprop_into<N: Nonlinearity + Clone>(
     target: &[f64],
     ws: &mut BackpropWorkspace,
 ) -> Result<f64, CoreError> {
-    assert_eq!(
-        target.len(),
-        model.num_classes(),
-        "target length must equal the class count"
-    );
-    let loss = cache.loss(target);
-    let nx = model.nodes();
-    let ny = model.num_classes();
-    let nr = model.feature_dim();
-    let window = cache.tail_masked.rows();
-    ws.g.resize(ny, 0.0);
-    softmax_cross_entropy_grad_into(&cache.probs, target, &mut ws.g);
-    ws.grads.bias.resize(ny, 0.0);
-    ws.grads.bias.copy_from_slice(&ws.g);
+    let tail = cache.tail_states();
+    let (before, last) = tail.split_at(tail.len() / 2);
+    let view = Trailing {
+        before: (cache.t_len > 1).then_some(before),
+        states: last,
+        masked: &cache.masked,
+        t_len: cache.t_len,
+        features: &cache.features,
+        probs: &cache.probs,
+    };
     ws.grads.mask = None;
-    ws.grads.w_out.resize(ny, nr);
-    ws.grads.w_out.fill_zero();
-    for (c, &gc) in ws.g.iter().enumerate() {
-        if gc == 0.0 {
-            continue;
-        }
-        let row = ws.grads.w_out.row_mut(c);
-        for (w, &r) in row.iter_mut().zip(&cache.features) {
-            *w = gc * r;
-        }
-    }
-    ws.dr.resize(nr, 0.0);
-    model.w_out().t_matvec_into(&ws.g, &mut ws.dr)?;
-    let scale = 1.0 / (cache.t_len.max(1) as f64);
-    for d in &mut ws.dr {
-        *d *= scale;
-    }
-    ws.grads.a = 0.0;
-    ws.grads.b = 0.0;
-    if cache.t_len == 0 || window == 0 {
-        return Ok(loss);
-    }
-    ws.dr_products.resize(nx, nx);
-    ws.dr_products
-        .as_mut_slice()
-        .copy_from_slice(&ws.dr[..nx * nx]);
-    let dr_sums = &ws.dr[nx * nx..];
-
-    let a = model.reservoir().a();
-    let b = model.reservoir().b();
-    let f = model.reservoir().nonlinearity();
-    // Tail layout: tail_states row r is x(T − window + r − 1 + 1)… i.e. the
-    // oldest retained state is x(T − window) at row 0; tail_masked row r is
-    // j(T − window + r + 1) in 1-based terms. Global step of tail row r:
-    // k = t_len − window + r (0-based).
-    let rows = window;
-    ws.bpv.resize(rows, nx);
-    ws.bpv.fill_zero();
-    ws.term.resize(nx, 0.0);
-    for r in 0..rows {
-        let k = cache.t_len - window + r;
-        // x(k−1) is tail_states row r (one row before x(k) at row r+1).
-        let x_prev = cache.tail_states.row(r);
-        ws.dr_products.matvec_into(x_prev, &mut ws.term)?;
-        ws.bpv.row_mut(r).copy_from_slice(&ws.term);
-        if k + 1 < cache.t_len {
-            let x_next = cache.tail_states.row(r + 2);
-            ws.dr_products.t_matvec_into(x_next, &mut ws.term)?;
-            for (o, &t2) in ws.bpv.row_mut(r).iter_mut().zip(&ws.term) {
-                *o += t2;
-            }
-        }
-        for (o, &s) in ws.bpv.row_mut(r).iter_mut().zip(dr_sums) {
-            *o += s;
-        }
-    }
-    ws.ds.resize(rows, nx);
-    ws.ds.fill_zero();
-    let mut a_grad = 0.0;
-    let mut b_grad = 0.0;
-    for r in (0..rows).rev() {
-        let k = cache.t_len - window + r;
-        for n in (0..nx).rev() {
-            let mut d = ws.bpv[(r, n)];
-            if n + 1 < nx {
-                d += b * ws.ds[(r, n + 1)];
-            } else if k + 1 < cache.t_len {
-                d += b * ws.ds[(r + 1, 0)];
-            }
-            if k + 1 < cache.t_len {
-                let z_next = cache.tail_masked[(r + 1, n)] + cache.tail_states[(r + 1, n)];
-                d += a * f.derivative(z_next) * ws.ds[(r + 1, n)];
-            }
-            ws.ds[(r, n)] = d;
-            let z = cache.tail_masked[(r, n)] + cache.tail_states[(r, n)];
-            a_grad += f.eval(z) * d;
-            // Chain predecessor: previous node of x(k), wrapping to the last
-            // node of x(k−1) (tail row r).
-            let chain_prev = if n > 0 {
-                cache.tail_states[(r + 1, n - 1)]
-            } else {
-                cache.tail_states[(r, nx - 1)]
-            };
-            b_grad += chain_prev * d;
-        }
-    }
-    ws.grads.a = a_grad;
-    ws.grads.b = b_grad;
-    Ok(loss)
-}
-
-/// Convenience: the standard (history-materialising) truncated backprop for
-/// comparison in tests and benches.
-pub fn reference_truncated<N: Nonlinearity + Clone>(
-    model: &DfrClassifier<N>,
-    series: &Matrix,
-    target: &[f64],
-    window: usize,
-) -> Result<(f64, Gradients), CoreError> {
-    let cache = model.forward(series)?;
-    backprop(
-        model,
-        series,
-        &cache,
-        target,
-        &BackpropOptions {
-            mode: BackpropMode::Truncated { window },
-            mask_gradient: false,
-        },
-    )
+    backward_into(model, &view, target, ws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfr_reservoir::mask::Mask;
+    use dfr_reservoir::modular::ModularDfr;
+    use dfr_reservoir::nonlinearity::Tanh;
 
     fn model() -> DfrClassifier {
         let mut m = DfrClassifier::paper_default(5, 2, 3, 2).expect("model");
@@ -479,50 +273,63 @@ mod tests {
     }
 
     #[test]
-    fn streaming_stores_only_window_plus_one_states() {
+    fn streaming_stores_only_two_states() {
         let m = model();
         let u = series(40);
         let cache = StreamingForward::paper().run(&m, &u).expect("streaming");
         assert_eq!(cache.stored_state_values(), 2 * 5); // 2·N_x, Table 2
-        let wide = StreamingForward::new(4).unwrap().run(&m, &u).expect("w=4");
-        assert_eq!(wide.stored_state_values(), 5 * 5); // (W+1)·N_x
     }
 
     #[test]
     fn streaming_gradients_match_reference_truncated() {
+        use crate::backprop::{backprop, BackpropMode, BackpropOptions};
         let m = model();
-        for (t, window) in [(9usize, 1usize), (9, 3), (5, 5), (1, 1)] {
+        let d = [0.0, 1.0, 0.0];
+        for t in [9usize, 5, 1] {
             let u = series(t);
-            let d = [0.0, 1.0, 0.0];
-            let (loss_ref, g_ref) = reference_truncated(&m, &u, &d, window).expect("reference");
-            let cache = StreamingForward::new(window)
-                .unwrap()
-                .run(&m, &u)
-                .expect("streaming");
-            let (loss_st, g_st) = streaming_backprop(&m, &cache, &d).expect("streaming bp");
-            assert!((loss_ref - loss_st).abs() < 1e-12, "t={t} w={window}");
-            assert!(
-                (g_ref.a - g_st.a).abs() < 1e-10,
-                "t={t} w={window}: dA {} vs {}",
-                g_ref.a,
-                g_st.a
-            );
-            assert!(
-                (g_ref.b - g_st.b).abs() < 1e-10,
-                "t={t} w={window}: dB {} vs {}",
-                g_ref.b,
-                g_st.b
-            );
-            for (a, b) in g_ref.w_out.as_slice().iter().zip(g_st.w_out.as_slice()) {
-                assert!((a - b).abs() < 1e-12);
-            }
+            let cache = m.forward(&u).expect("forward");
+            let options = BackpropOptions {
+                mode: BackpropMode::PAPER_TRUNCATED,
+                mask_gradient: false,
+            };
+            let (loss_ref, g_ref) = backprop(&m, &u, &cache, &d, &options).expect("reference");
+            let streaming = StreamingForward::paper().run(&m, &u).expect("streaming");
+            let (loss_st, g_st) = streaming_backprop(&m, &streaming, &d).expect("streaming bp");
+            assert_eq!(loss_st.to_bits(), loss_ref.to_bits(), "t={t}");
+            assert_eq!(g_st.a.to_bits(), g_ref.a.to_bits(), "t={t}");
+            assert_eq!(g_st.b.to_bits(), g_ref.b.to_bits(), "t={t}");
+            assert_bitwise(g_ref.w_out.as_slice(), g_st.w_out.as_slice());
+            assert_bitwise(&g_ref.bias, &g_st.bias);
         }
     }
 
+    /// The kernel's ring still holds the final block on return: for every
+    /// final-block length (T = 1..=9 covers 1–4 and T = 1's zero row) the
+    /// tail is the stored history's last two rows and the masked row is
+    /// the mask GEMM's last row, bit for bit.
     #[test]
-    fn zero_window_rejected() {
-        assert!(StreamingForward::new(0).is_err());
-        assert!(StreamingForward::new(1).is_ok());
+    fn tail_is_the_stored_history_s_last_rows() {
+        fn check<N: Nonlinearity + Clone>(m: &DfrClassifier<N>) {
+            let nx = m.nodes();
+            for t in 1..=9 {
+                let u = series(t);
+                let cache = StreamingForward::paper().run(m, &u).expect("streaming");
+                let states = m.reservoir().run(&u).expect("run").states().clone();
+                let x_prev = if t > 1 {
+                    states.row(t - 2).to_vec()
+                } else {
+                    vec![0.0; nx]
+                };
+                let tail = cache.tail_states();
+                assert_bitwise(&x_prev, &tail[..nx]);
+                assert_bitwise(states.row(t - 1), &tail[nx..]);
+                let masked = m.reservoir().mask().apply(&u);
+                assert_bitwise(masked.row(t - 1), &cache.masked);
+            }
+        }
+        check(&model());
+        let tanh = ModularDfr::new(Mask::uniform(4, 2, 7), 0.6, 0.3, Tanh).expect("reservoir");
+        check(&DfrClassifier::new(tanh, 2));
     }
 
     #[test]

@@ -94,14 +94,13 @@ proptest! {
         prop_assert!((full.b - window.b).abs() < 1e-10);
     }
 
-    /// The streaming (constant-memory) pipeline is equivalent to the
-    /// standard one for any window and length.
+    /// The streaming (constant-memory) pipeline is bitwise equal to the
+    /// stored-history one under the paper's truncation, for any length.
     #[test]
     fn streaming_equals_reference(
         a in 0.05_f64..0.3,
         b in 0.05_f64..0.3,
         t in 1usize..12,
-        window in 1usize..5,
         class in 0usize..3,
     ) {
         let m = classifier(a, b, 0.3, 3);
@@ -110,14 +109,16 @@ proptest! {
         d[class] = 1.0;
         let cache = m.forward(&u).expect("forward");
         let (loss_ref, g_ref) = backprop(&m, &u, &cache, &d, &BackpropOptions {
-            mode: BackpropMode::Truncated { window }, mask_gradient: false,
+            mode: BackpropMode::PAPER_TRUNCATED, mask_gradient: false,
         }).expect("reference");
-        let st_cache = StreamingForward::new(window).expect("window")
-            .run(&m, &u).expect("streaming forward");
+        let st_cache = StreamingForward::paper().run(&m, &u).expect("streaming forward");
         let (loss_st, g_st) = streaming_backprop(&m, &st_cache, &d).expect("streaming bp");
-        prop_assert!((loss_ref - loss_st).abs() < 1e-10);
-        prop_assert!((g_ref.a - g_st.a).abs() < 1e-9, "{} vs {}", g_ref.a, g_st.a);
-        prop_assert!((g_ref.b - g_st.b).abs() < 1e-9, "{} vs {}", g_ref.b, g_st.b);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(loss_st.to_bits(), loss_ref.to_bits());
+        prop_assert_eq!(g_st.a.to_bits(), g_ref.a.to_bits(), "{} vs {}", g_st.a, g_ref.a);
+        prop_assert_eq!(g_st.b.to_bits(), g_ref.b.to_bits(), "{} vs {}", g_st.b, g_ref.b);
+        prop_assert_eq!(bits(g_st.w_out.as_slice()), bits(g_ref.w_out.as_slice()));
+        prop_assert_eq!(bits(&g_st.bias), bits(&g_ref.bias));
     }
 
     /// Readout gradients are linear in the loss gradient: scaling the
@@ -230,14 +231,13 @@ proptest! {
         a in 0.03_f64..0.3,
         b in 0.03_f64..0.3,
         t in 1usize..12,
-        window in 1usize..5,
         class in 0usize..3,
     ) {
         let m = classifier(a, b, 0.3, 5);
         let u = input(t, 0.7);
         let mut d = [0.0; 3];
         d[class] = 1.0;
-        let forward = StreamingForward::new(window).expect("window");
+        let forward = StreamingForward::paper();
         let cache = forward.run(&m, &u).expect("run");
         let (loss, grads) = streaming_backprop(&m, &cache, &d).expect("bp");
         let mut reused = StreamingCache::empty();

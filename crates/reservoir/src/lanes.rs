@@ -2,10 +2,13 @@
 //! through mask → recurrence → DPRR → `1/T` at once, one series per SIMD
 //! lane.
 //!
-//! Every forward pass that needs only features runs it: grid search's
-//! `dfr_core::trainer::features_for_into` at the dispatched kernel's lane
-//! width (one lane for ragged groups and re-runs), and the serving layer
-//! (`dfr-serve`) one lane per request.
+//! Every forward pass that needs only features, or features and the last
+//! two states, runs it: grid search's `dfr_core::trainer::features_for_into`
+//! at the dispatched kernel's lane width (one lane for ragged groups and
+//! re-runs), the serving layer (`dfr-serve`) one lane per request, and
+//! `dfr_core::streaming`'s truncated-training pass (and so the online
+//! publisher's absorb) one lane per sample, reading `x(T−2)` and `x(T−1)`
+//! through [`LaneScratch::last_two_states`].
 //!
 //! The per-sample path ([`ModularDfr::run_into`] then
 //! [`Dprr::features_into`]) stores the `T × N_x` masked drive and state
@@ -14,7 +17,8 @@
 //!
 //! * the current input row, lane-interleaved (`C × L`);
 //! * a ring of the last five state rows (`5 × N_x × L`): `x(k−1)` and the
-//!   block `x(k)..x(k+3)` that one DPRR sweep folds in;
+//!   block `x(k)..x(k+3)` that one DPRR sweep folds in; on return it still
+//!   holds the final block;
 //! * the DPRR accumulator (`N_x(N_x+1) × L`).
 //!
 //! Element `e` of lane `l` lives at `[e·L + l]`, so every lane operation
@@ -65,6 +69,22 @@ impl LaneScratch {
     /// Empty buffers; they grow to `N_x(N_x+1)·L` values on first use.
     pub fn new() -> Self {
         LaneScratch::default()
+    }
+
+    /// The last two states `x(T−2)` and `x(T−1)` of the latest successful
+    /// [`dprr_lanes`] call, whose series had `t_len` steps: two
+    /// lane-interleaved rows of `N_x·L` values, oldest first, with
+    /// `x(−1) ≡ 0` for `T = 1`. The ring holds the final block on return,
+    /// so these are two of its rows, not a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_len == 0`.
+    pub fn last_two_states(&self, t_len: usize) -> &[f64] {
+        assert!(t_len > 0, "a 0-step run has no last state");
+        let width = self.ring.len() / (BLOCK + 1);
+        let last = (t_len - 1) % BLOCK + 1;
+        &self.ring[(last - 1) * width..(last + 1) * width]
     }
 }
 
@@ -133,6 +153,12 @@ pub fn dprr_lanes<N: Nonlinearity, const L: usize>(
     let mut chain = [0.0; L]; // s_{t−1} per lane, carried across rows
     let mut k = 0;
     while k < t_len {
+        if k > 0 {
+            // The previous (full) block's last state is this block's
+            // x(k−1). Copied here rather than at the block's end, so the
+            // ring still holds the final block on return.
+            ring.copy_within(BLOCK * width..(BLOCK + 1) * width, 0);
+        }
         let steps = BLOCK.min(t_len - k);
         for r in 0..steps {
             for (l, s) in series.iter().enumerate() {
@@ -160,8 +186,6 @@ pub fn dprr_lanes<N: Nonlinearity, const L: usize>(
                 sweep::<L, 1>(acc, ring, r, nx);
             }
         }
-        // The block's last state is the next block's x(k−1).
-        ring.copy_within(steps * width..(steps + 1) * width, 0);
         k += steps;
     }
 

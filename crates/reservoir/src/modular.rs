@@ -369,11 +369,6 @@ impl ReservoirRun {
     pub fn preactivation(&self, k: usize, n: usize) -> f64 {
         self.masked[(k, n)] + self.delayed_feedback(k, n)
     }
-
-    /// Consumes the run, returning `(masked, states)`.
-    pub fn into_parts(self) -> (Matrix, Matrix) {
-        (self.masked, self.states)
-    }
 }
 
 #[cfg(test)]
