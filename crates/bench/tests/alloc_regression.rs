@@ -4,8 +4,8 @@
 //! one SGD step (buffer-reusing forward pass + backward pass + parameter
 //! update) performs **zero** heap allocations — the contract behind the
 //! workspace-buffer convention of `DESIGN.md` §9. The same is pinned for
-//! the streaming (constant-memory) step, the lane feature kernel and the
-//! `RidgePlan` β-sweep.
+//! the inference forward pass, the streaming (constant-memory) step, the
+//! lane feature kernel and the `RidgePlan` β-sweep.
 //!
 //! Gated behind the `count-allocs` feature so normal test runs keep the
 //! system allocator untouched:
@@ -25,9 +25,9 @@ use dfr_core::online::OnlineRidge;
 use dfr_core::optimizer::{ParamBounds, Sgd};
 use dfr_core::streaming::{streaming_backprop_into, StreamingCache, StreamingForward};
 use dfr_core::workspace::TrainWorkspace;
-use dfr_core::DfrClassifier;
+use dfr_core::{DfrClassifier, ForwardCache};
 use dfr_linalg::ridge::RidgePlan;
-use dfr_linalg::solver::{SolverKind, SolverPolicy};
+use dfr_linalg::solver::{with_solver, SolverKind, SolverPolicy};
 use dfr_linalg::{GemmWorkspace, Matrix};
 use dfr_serve::{FrozenModel, ServeSession};
 
@@ -147,6 +147,27 @@ fn sgd_step_is_allocation_free_after_warmup() {
     });
 }
 
+/// The inference forward pass: the mask product packs into the
+/// workspace the cache's `ReservoirRun` owns, so a warm cache serves every
+/// later series of at most the warm-up length without allocating.
+#[test]
+fn forward_into_is_allocation_free_after_warmup() {
+    dfr_pool::with_threads(1, || {
+        let (model, series, _) = model_and_series(30, 120);
+        let mut cache = ForwardCache::empty();
+        model.forward_into(&series, &mut cache).expect("forward"); // warm-up
+        let (allocs, ()) = count_allocs(|| {
+            for _ in 0..100 {
+                model.forward_into(&series, &mut cache).expect("forward");
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "post-warm-up forward passes must not allocate ({allocs} allocations in 100 passes)"
+        );
+    });
+}
+
 #[test]
 fn streaming_step_is_allocation_free_after_warmup() {
     dfr_pool::with_threads(1, || {
@@ -217,15 +238,11 @@ fn packed_matmul_is_allocation_free_after_warmup() {
         let mut ws = GemmWorkspace::new();
         let mut out = Matrix::zeros(0, 0);
         let all = |ws: &mut GemmWorkspace, out: &mut Matrix| {
-            a.matmul_into_ws(&b, out, ws).expect("matmul");
-            a.t_matmul_into_ws(&b, out, ws).expect("t_matmul");
-            a.matmul_t_into_ws(&b, out, ws).expect("matmul_t");
-            a.gram_into_ws(out, ws);
-            a.gram_t_into_ws(out, ws);
-            // The plain `_into` forms pack into the thread-local fallback
-            // workspace — equally allocation-free once it is warm.
-            a.matmul_into(&b, out).expect("matmul tl");
-            a.gram_t_into(out);
+            a.matmul_into(&b, out, ws).expect("matmul");
+            a.t_matmul_into(&b, out, ws).expect("t_matmul");
+            a.matmul_t_into(&b, out, ws).expect("matmul_t");
+            a.gram_into(out, ws);
+            a.gram_t_into(out, ws);
         };
         all(&mut ws, &mut out); // warm-up: pack buffers reach high water
         let (allocs, ()) = count_allocs(|| {
@@ -370,9 +387,7 @@ fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
             learner.absorb_label(&features, k % q).expect("absorb");
             hi += phi_sq(&features);
         }
-        learner
-            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
-            .expect("refit");
+        with_solver(SolverPolicy::Auto, || learner.refit_into(&mut w, &mut b)).expect("refit");
 
         // Per refit: the reported rcond and `β/(n·hi)`. The certificate
         // never exceeds that ratio; Hager's estimate bounds the true rcond
@@ -395,8 +410,7 @@ fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
                     hi += phi_sq(&features);
                 }
                 if k % 25 == 0 {
-                    learner
-                        .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+                    with_solver(SolverPolicy::Auto, || learner.refit_into(&mut w, &mut b))
                         .expect("refit");
                     let rcond = learner.last_report().rcond.expect("auto rcond");
                     seen[k / 25 - 1] = (rcond, beta / (n * hi));
@@ -505,7 +519,7 @@ fn solver_escalation_is_allocation_free_after_warmup() {
                     // Cholesky/QR backends (that *is* the escalation
                     // trigger); the error paths must be as
                     // allocation-free as the successes.
-                    let _ = plan.solve_into_with(beta, w, policy);
+                    let _ = with_solver(policy, || plan.solve_into(beta, w));
                 }
             }
         };

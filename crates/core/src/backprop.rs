@@ -273,7 +273,7 @@ pub(crate) fn backward_into<N: Nonlinearity + Clone>(
         }
     }
     // ∂L/∂r = W_outᵀ · g. The model feeds the readout the DPRR scaled by
-    // 1/T (see `DfrClassifier::forward_from_run`), so the gradient with
+    // 1/T (see `DfrClassifier::finish_forward`), so the gradient with
     // respect to the *raw* sums of Eqs. 18–19 — what the DPRR backward
     // stage below needs — carries the same 1/T factor.
     ws.dr.resize(nr, 0.0);

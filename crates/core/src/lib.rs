@@ -10,8 +10,7 @@
 //!   (Eqs. 16–17), the DPRR layer (Eqs. 20–23) and the recursive reservoir
 //!   layer (Eqs. 24–32), plus the **truncated** variant (Eqs. 33–36) that
 //!   stores only two reservoir states.
-//! * [`optimizer`] — plain SGD with the paper's step schedule, plus
-//!   momentum-SGD and Adam as extensions.
+//! * [`optimizer`] — plain SGD with the paper's step schedule.
 //! * [`trainer`] — the paper's §4 protocol: 25 epochs of per-sample SGD
 //!   from `[A, B] = [0.01, 0.01]`, then a ridge readout with
 //!   `β ∈ {1e−6, 1e−4, 1e−2, 1}` selected by training loss.

@@ -77,16 +77,6 @@ impl ConfusionMatrix {
         let trace: usize = (0..self.num_classes).map(|i| self.count(i, i)).sum();
         trace as f64 / total as f64
     }
-
-    /// Per-class recall (`None` for classes with no true samples).
-    pub fn recall(&self, label: usize) -> Option<f64> {
-        let row_total: usize = (0..self.num_classes).map(|j| self.count(label, j)).sum();
-        if row_total == 0 {
-            None
-        } else {
-            Some(self.count(label, label) as f64 / row_total as f64)
-        }
-    }
 }
 
 impl std::fmt::Display for ConfusionMatrix {
@@ -135,14 +125,6 @@ mod tests {
         assert_eq!(cm.count(1, 0), 0);
         assert_eq!(cm.total(), 4);
         assert_eq!(cm.accuracy(), 0.75);
-    }
-
-    #[test]
-    fn recall_per_class() {
-        let cm = ConfusionMatrix::from_predictions(&[0, 1, 1, 0], &[0, 1, 0, 0], 3);
-        assert!((cm.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(cm.recall(1), Some(1.0));
-        assert_eq!(cm.recall(2), None);
     }
 
     #[test]

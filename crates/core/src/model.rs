@@ -1,7 +1,7 @@
 //! The end-to-end DFR classifier: modular reservoir → DPRR → softmax readout.
 
 use crate::CoreError;
-use dfr_linalg::activation::{cross_entropy, dense_bias_softmax_into, softmax_in_place};
+use dfr_linalg::activation::{cross_entropy, dense_bias_softmax_into};
 use dfr_linalg::Matrix;
 use dfr_reservoir::mask::Mask;
 use dfr_reservoir::modular::{ModularDfr, ReservoirRun};
@@ -204,7 +204,7 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     ///
     /// # Errors
     ///
-    /// Same as [`ModularDfr::run_masked`]
+    /// Same as [`ModularDfr::run_masked_into`]
     /// ([`dfr_reservoir::ReservoirError::ChannelMismatch`] /
     /// [`dfr_reservoir::ReservoirError::Diverged`], wrapped in
     /// [`CoreError::Reservoir`]).
@@ -217,8 +217,9 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
         self.finish_forward(cache)
     }
 
-    /// Forward pass from a pre-computed reservoir run (lets the trainer
-    /// reuse masked inputs).
+    /// DPRR + readout from `cache.run`, writing every product into the
+    /// cache's reused buffers (the shared tail of all forward entry
+    /// points).
     ///
     /// The DPRR sums of paper Eqs. 18–19 are divided by the series length
     /// `T` before entering the readout. This is a pure per-sample rescaling
@@ -226,21 +227,6 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     /// unchanged — but it makes the feature scale, and therefore the
     /// paper's learning rate of 1.0, independent of `T` (which spans 28 to
     /// 1917 across the evaluation datasets).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Linalg`] on internal shape errors (unreachable
-    /// for caches produced by this model).
-    pub fn forward_from_run(&self, run: ReservoirRun) -> Result<ForwardCache, CoreError> {
-        let mut cache = ForwardCache::empty();
-        cache.run = run;
-        self.finish_forward(&mut cache)?;
-        Ok(cache)
-    }
-
-    /// DPRR + readout from `cache.run`, writing every product into the
-    /// cache's reused buffers (the shared tail of all forward entry
-    /// points).
     fn finish_forward(&self, cache: &mut ForwardCache) -> Result<(), CoreError> {
         let dim = Dprr.dim(cache.run.nodes());
         cache.features.resize(dim, 0.0);
@@ -264,20 +250,6 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
         Ok(())
     }
 
-    /// Logits and probabilities for an externally computed feature vector
-    /// (used by the ridge readout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Linalg`] if `features.len() != feature_dim()`.
-    pub fn classify_features(&self, features: &[f64]) -> Result<Vec<f64>, CoreError> {
-        let mut logits = vec![0.0; self.num_classes()];
-        self.w_out
-            .matvec_bias_into(features, &self.bias, &mut logits)?;
-        softmax_in_place(&mut logits);
-        Ok(logits)
-    }
-
     /// Predicted class for a series.
     ///
     /// Runs the stored-history forward pass ([`DfrClassifier::forward`]).
@@ -292,24 +264,6 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     /// Propagates reservoir errors.
     pub fn predict(&self, series: &Matrix) -> Result<usize, CoreError> {
         Ok(self.forward(series)?.prediction())
-    }
-
-    /// [`DfrClassifier::predict`] recycling a caller-owned cache — the
-    /// allocation-free per-sample serving form (bitwise identical to
-    /// [`DfrClassifier::predict`]). The probabilities stay readable in
-    /// `cache.probs` after the call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reservoir errors; on error the cache contents are
-    /// unspecified.
-    pub fn predict_into(
-        &self,
-        series: &Matrix,
-        cache: &mut ForwardCache,
-    ) -> Result<usize, CoreError> {
-        self.forward_into(series, cache)?;
-        Ok(cache.prediction())
     }
 }
 
@@ -427,33 +381,21 @@ mod tests {
     }
 
     #[test]
-    fn classify_features_matches_forward() {
-        let mut m = model();
-        m.w_out_mut().as_mut_slice()[7] = 1.0;
-        let series = Matrix::filled(5, 2, 0.4);
-        let cache = m.forward(&series).unwrap();
-        let probs = m.classify_features(&cache.features).unwrap();
-        for (a, b) in probs.iter().zip(&cache.probs) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn predict_channel_mismatch_errors() {
         let m = model();
         assert!(m.predict(&Matrix::zeros(5, 3)).is_err());
     }
 
     #[test]
-    fn predict_into_matches_predict() {
+    fn forward_into_matches_forward() {
         let mut m = model();
         m.w_out_mut().as_mut_slice()[5] = 0.3;
         let mut cache = ForwardCache::empty();
         for t in [7usize, 3, 9] {
             let series = Matrix::filled(t, 2, 0.4);
-            let via_into = m.predict_into(&series, &mut cache).unwrap();
+            m.forward_into(&series, &mut cache).unwrap();
             let owning = m.forward(&series).unwrap();
-            assert_eq!(via_into, owning.prediction());
+            assert_eq!(cache.prediction(), owning.prediction());
             assert_eq!(cache.probs, owning.probs);
         }
     }

@@ -231,19 +231,9 @@ impl OnlineRidge {
         self.beta
     }
 
-    /// The forgetting factor λ.
-    pub fn forget_factor(&self) -> f64 {
-        self.forget
-    }
-
     /// Samples absorbed over the learner's lifetime.
     pub fn absorbed(&self) -> u64 {
         self.absorbed
-    }
-
-    /// Samples retracted over the learner's lifetime.
-    pub fn retracted(&self) -> u64 {
-        self.retracted
     }
 
     /// Whether the incremental factor no longer matches the system (a
@@ -424,15 +414,6 @@ impl OnlineRidge {
     /// writing `w_out` (`q × p`) and `bias` (length `q`) in the
     /// [`crate::readout::FittedReadout`] convention.
     ///
-    /// # Errors
-    ///
-    /// Same as [`OnlineRidge::refit_into_with`].
-    pub fn refit_into(&mut self, w_out: &mut Matrix, bias: &mut Vec<f64>) -> Result<(), CoreError> {
-        self.refit_into_with(w_out, bias, solver::active())
-    }
-
-    /// [`OnlineRidge::refit_into`] under an explicit policy.
-    ///
     /// The fast path solves with the incrementally maintained factor —
     /// `O(p²q)` substitution, no factorisation at all. Under Auto it first
     /// needs the system's conditioning vouched for. A certificate carried
@@ -454,7 +435,12 @@ impl OnlineRidge {
     /// [`CoreError::Linalg`] with the terminal solver error if every
     /// rung fails (e.g. [`LinalgError::NonFinite`] after the system was
     /// poisoned by overflow) — also recorded in the report.
-    pub fn refit_into_with(
+    pub fn refit_into(&mut self, w_out: &mut Matrix, bias: &mut Vec<f64>) -> Result<(), CoreError> {
+        self.refit_into_with(w_out, bias, solver::active())
+    }
+
+    /// [`OnlineRidge::refit_into`] under an explicit policy.
+    fn refit_into_with(
         &mut self,
         w_out: &mut Matrix,
         bias: &mut Vec<f64>,
@@ -680,7 +666,7 @@ mod tests {
         for (x1, x2) in b.iter().zip(&bb) {
             assert!((x1 - x2).abs() < 1e-9);
         }
-        assert_eq!(learner.retracted(), 6);
+        assert_eq!(learner.retracted, 6);
     }
 
     #[test]

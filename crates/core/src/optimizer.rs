@@ -3,12 +3,10 @@
 //! The paper (§4) trains with plain per-sample SGD: the learning rate starts
 //! at 1 and is multiplied by 0.1 for the reservoir parameters at epochs 5,
 //! 10, 15 and 20, and for the output parameters at epochs 10, 15 and 20.
-//! Momentum-SGD and Adam are provided as extensions for ablation.
 
 use crate::backprop::Gradients;
 use crate::model::DfrClassifier;
 use crate::CoreError;
-use dfr_linalg::Matrix;
 use dfr_reservoir::nonlinearity::Nonlinearity;
 
 /// A step-decay learning-rate schedule: `initial · factor^(#decays ≤ epoch)`.
@@ -41,11 +39,6 @@ impl Schedule {
             decay_epochs,
             factor,
         }
-    }
-
-    /// A constant learning rate.
-    pub fn constant(lr: f64) -> Self {
-        Schedule::step_decay(lr, &[], 1.0)
     }
 
     /// The paper's reservoir-parameter schedule: 1.0, ×0.1 at 5/10/15/20.
@@ -100,32 +93,12 @@ impl ParamBounds {
 /// Plain stochastic gradient descent with separate reservoir/readout rates
 /// — the paper's optimizer.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Sgd {
-    /// Optional momentum coefficient (0 = the paper's plain SGD).
-    pub momentum: f64,
-    velocity: Option<Velocity>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Velocity {
-    a: f64,
-    b: f64,
-    w_out: Matrix,
-    bias: Vec<f64>,
-}
+pub struct Sgd;
 
 impl Sgd {
     /// Plain SGD (no momentum), as in the paper.
     pub fn new() -> Self {
-        Sgd::default()
-    }
-
-    /// SGD with momentum `mu` (extension).
-    pub fn with_momentum(mu: f64) -> Self {
-        Sgd {
-            momentum: mu,
-            velocity: None,
-        }
+        Sgd
     }
 
     /// Applies one update:
@@ -149,146 +122,17 @@ impl Sgd {
                 context: "sgd gradients",
             });
         }
-        // Borrow the effective update in place — no per-step gradient
-        // clones on either path (the hot loop's allocation-free contract).
-        let (ga, gb, gw, gbias): (f64, f64, &Matrix, &[f64]) = if self.momentum > 0.0 {
-            let v = self.velocity.get_or_insert_with(|| Velocity {
-                a: 0.0,
-                b: 0.0,
-                w_out: Matrix::zeros(grads.w_out.rows(), grads.w_out.cols()),
-                bias: vec![0.0; grads.bias.len()],
-            });
-            v.a = self.momentum * v.a + grads.a;
-            v.b = self.momentum * v.b + grads.b;
-            v.w_out.scale(self.momentum);
-            v.w_out.axpy(1.0, &grads.w_out)?;
-            for (vb, &g) in v.bias.iter_mut().zip(&grads.bias) {
-                *vb = self.momentum * *vb + g;
-            }
-            (v.a, v.b, &v.w_out, &v.bias)
-        } else {
-            (grads.a, grads.b, &grads.w_out, &grads.bias)
-        };
-
         let (a0, b0) = (model.reservoir().a(), model.reservoir().b());
-        let (a1, b1) = bounds.clamp(a0 - lr_reservoir * ga, b0 - lr_reservoir * gb);
+        let (a1, b1) = bounds.clamp(a0 - lr_reservoir * grads.a, b0 - lr_reservoir * grads.b);
         model.reservoir_mut().set_params(a1, b1)?;
-        model.w_out_mut().axpy(-lr_output, gw)?;
-        for (bv, g) in model.bias_mut().iter_mut().zip(gbias) {
+        model.w_out_mut().axpy(-lr_output, &grads.w_out)?;
+        for (bv, g) in model.bias_mut().iter_mut().zip(&grads.bias) {
             *bv -= lr_output * g;
         }
         if model.w_out().as_slice().iter().any(|w| !w.is_finite()) {
             return Err(CoreError::NumericalFailure {
                 context: "sgd readout update",
             });
-        }
-        Ok(())
-    }
-}
-
-/// Adam optimizer (extension beyond the paper).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adam {
-    /// First-moment decay (default 0.9).
-    pub beta1: f64,
-    /// Second-moment decay (default 0.999).
-    pub beta2: f64,
-    /// Numerical-stability constant (default 1e−8).
-    pub epsilon: f64,
-    step: usize,
-    m: Option<Velocity>,
-    v: Option<Velocity>,
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Adam {
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            step: 0,
-            m: None,
-            v: None,
-        }
-    }
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with standard hyperparameters.
-    pub fn new() -> Self {
-        Adam::default()
-    }
-
-    /// Applies one Adam update with separate reservoir/readout rates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NumericalFailure`] on non-finite gradients.
-    pub fn step<N: Nonlinearity + Clone>(
-        &mut self,
-        model: &mut DfrClassifier<N>,
-        grads: &Gradients,
-        lr_reservoir: f64,
-        lr_output: f64,
-        bounds: &ParamBounds,
-    ) -> Result<(), CoreError> {
-        if !grads.is_finite() {
-            return Err(CoreError::NumericalFailure {
-                context: "adam gradients",
-            });
-        }
-        let (rows, cols) = grads.w_out.shape();
-        let zero = || Velocity {
-            a: 0.0,
-            b: 0.0,
-            w_out: Matrix::zeros(rows, cols),
-            bias: vec![0.0; grads.bias.len()],
-        };
-        let m = self.m.get_or_insert_with(zero);
-        let v = self.v.get_or_insert_with(zero);
-        self.step += 1;
-        let t = self.step as i32;
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-
-        let update_scalar = |m: &mut f64, v: &mut f64, g: f64, b1: f64, b2: f64| {
-            *m = b1 * *m + (1.0 - b1) * g;
-            *v = b2 * *v + (1.0 - b2) * g * g;
-        };
-        update_scalar(&mut m.a, &mut v.a, grads.a, self.beta1, self.beta2);
-        update_scalar(&mut m.b, &mut v.b, grads.b, self.beta1, self.beta2);
-        for i in 0..rows * cols {
-            update_scalar(
-                &mut m.w_out.as_mut_slice()[i],
-                &mut v.w_out.as_mut_slice()[i],
-                grads.w_out.as_slice()[i],
-                self.beta1,
-                self.beta2,
-            );
-        }
-        for i in 0..grads.bias.len() {
-            update_scalar(
-                &mut m.bias[i],
-                &mut v.bias[i],
-                grads.bias[i],
-                self.beta1,
-                self.beta2,
-            );
-        }
-
-        let adapt = |mh: f64, vh: f64, eps: f64| mh / bc1 / ((vh / bc2).sqrt() + eps);
-        let (a0, b0) = (model.reservoir().a(), model.reservoir().b());
-        let (a1, b1) = bounds.clamp(
-            a0 - lr_reservoir * adapt(m.a, v.a, self.epsilon),
-            b0 - lr_reservoir * adapt(m.b, v.b, self.epsilon),
-        );
-        model.reservoir_mut().set_params(a1, b1)?;
-        for i in 0..rows * cols {
-            model.w_out_mut().as_mut_slice()[i] -=
-                lr_output * adapt(m.w_out.as_slice()[i], v.w_out.as_slice()[i], self.epsilon);
-        }
-        for i in 0..grads.bias.len() {
-            model.bias_mut()[i] -= lr_output * adapt(m.bias[i], v.bias[i], self.epsilon);
         }
         Ok(())
     }
@@ -319,7 +163,7 @@ mod tests {
 
     #[test]
     fn constant_schedule() {
-        let s = Schedule::constant(0.3);
+        let s = Schedule::step_decay(0.3, &[], 1.0);
         assert_eq!(s.lr(0), 0.3);
         assert_eq!(s.lr(100), 0.3);
     }
@@ -379,40 +223,5 @@ mod tests {
         let mut sgd = Sgd::new();
         sgd.step(&mut m, &g, 1.0, 0.0, &bounds).unwrap();
         assert_eq!(m.reservoir().a(), bounds.a.0);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let (m, u, d) = toy_setup();
-        let cache = m.forward(&u).unwrap();
-        let (_, g) = backprop(&m, &u, &cache, &d, &BackpropOptions::default()).unwrap();
-        let mut plain = Sgd::new();
-        let mut momentum = Sgd::with_momentum(0.9);
-        let mut m1 = m.clone();
-        let mut m2 = m.clone();
-        // Two identical steps: with momentum the second step is larger.
-        for _ in 0..2 {
-            plain
-                .step(&mut m1, &g, 0.001, 0.0, &ParamBounds::default())
-                .unwrap();
-            momentum
-                .step(&mut m2, &g, 0.001, 0.0, &ParamBounds::default())
-                .unwrap();
-        }
-        let d1 = (m.reservoir().a() - m1.reservoir().a()).abs();
-        let d2 = (m.reservoir().a() - m2.reservoir().a()).abs();
-        assert!(d2 > d1, "momentum displacement {d2} vs plain {d1}");
-    }
-
-    #[test]
-    fn adam_step_decreases_loss() {
-        let (mut m, u, d) = toy_setup();
-        let cache = m.forward(&u).unwrap();
-        let (loss0, g) = backprop(&m, &u, &cache, &d, &BackpropOptions::default()).unwrap();
-        let mut adam = Adam::new();
-        adam.step(&mut m, &g, 1e-3, 1e-2, &ParamBounds::default())
-            .unwrap();
-        let loss1 = m.forward(&u).unwrap().loss(&d);
-        assert!(loss1 < loss0);
     }
 }

@@ -245,7 +245,7 @@ fn batched_logits(
     logits: &mut Matrix,
     gemm: &mut GemmWorkspace,
 ) -> Result<(), CoreError> {
-    features.matmul_t_into_ws(w_out, logits, gemm)?;
+    features.matmul_t_into(w_out, logits, gemm)?;
     for i in 0..logits.rows() {
         for (l, b) in logits.row_mut(i).iter_mut().zip(bias) {
             *l += b;
@@ -254,60 +254,9 @@ fn batched_logits(
     Ok(())
 }
 
-/// Mean softmax cross-entropy of a linear readout over a feature matrix.
-///
-/// All samples' logits are computed in one batched microkernel product
-/// (bitwise equal, row for row, to the per-sample `matvec` loop this
-/// replaced).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Linalg`] on shape mismatches.
-pub fn mean_cross_entropy(
-    features: &Matrix,
-    w_out: &Matrix,
-    bias: &[f64],
-    targets: &Matrix,
-) -> Result<f64, CoreError> {
-    let n = features.rows();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let mut logits = Matrix::zeros(0, 0);
-    batched_logits(
-        features,
-        w_out,
-        bias,
-        &mut logits,
-        &mut GemmWorkspace::new(),
-    )?;
-    let mut total = 0.0;
-    for i in 0..n {
-        total += cross_entropy_from_logits(logits.row(i), targets.row(i));
-    }
-    Ok(total / n as f64)
-}
-
-/// Accuracy of a linear readout over a feature matrix with integer labels.
-///
-/// Batched like [`mean_cross_entropy`]; see [`readout_accuracy_with`] for
-/// the scratch-recycling form.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Linalg`] on shape mismatches.
-pub fn readout_accuracy(
-    features: &Matrix,
-    w_out: &Matrix,
-    bias: &[f64],
-    labels: &[usize],
-) -> Result<f64, CoreError> {
-    readout_accuracy_with(features, w_out, bias, labels, &mut ReadoutScratch::new())
-}
-
-/// [`readout_accuracy`] against caller-owned scratch (the batched logits
-/// land in the scratch's buffers) — the form grid search recycles across
-/// cells.
+/// Accuracy of a linear readout over a feature matrix with integer labels,
+/// against caller-owned scratch (the batched logits land in the scratch's
+/// buffers) — the form grid search recycles across cells.
 ///
 /// # Errors
 ///
@@ -363,7 +312,14 @@ mod tests {
     fn fits_separable_data_perfectly() {
         let (x, y, labels) = separable();
         let fit = fit_readout(&x, &y, &PAPER_BETAS).unwrap();
-        let acc = readout_accuracy(&x, &fit.w_out, &fit.bias, &labels).unwrap();
+        let acc = readout_accuracy_with(
+            &x,
+            &fit.w_out,
+            &fit.bias,
+            &labels,
+            &mut ReadoutScratch::new(),
+        )
+        .unwrap();
         assert_eq!(acc, 1.0);
         assert!(fit.train_loss < 2.0_f64.ln()); // better than uniform
     }
@@ -492,11 +448,13 @@ mod tests {
     }
 
     #[test]
-    fn mean_cross_entropy_of_empty_is_zero() {
+    fn accuracy_of_empty_is_zero() {
         let x = Matrix::zeros(0, 3);
-        let y = Matrix::zeros(0, 2);
         let w = Matrix::zeros(2, 3);
-        assert_eq!(mean_cross_entropy(&x, &w, &[0.0; 2], &y).unwrap(), 0.0);
-        assert_eq!(readout_accuracy(&x, &w, &[0.0; 2], &[]).unwrap(), 0.0);
+        let mut ws = ReadoutScratch::new();
+        assert_eq!(
+            readout_accuracy_with(&x, &w, &[0.0; 2], &[], &mut ws).unwrap(),
+            0.0
+        );
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! [`BackpropMode::PAPER_TRUNCATED`]: crate::backprop::BackpropMode::PAPER_TRUNCATED
 
-use crate::backprop::{backward_into, Gradients, Trailing};
+use crate::backprop::{backward_into, Trailing};
 use crate::model::DfrClassifier;
 use crate::workspace::BackpropWorkspace;
 use crate::CoreError;
@@ -70,12 +70,6 @@ impl StreamingCache {
     /// buffer reuse.
     pub fn empty() -> Self {
         StreamingCache::default()
-    }
-
-    /// Number of stored reservoir-state values the backward pass reads —
-    /// the quantity Table 2 counts as "simplified" storage (`2·N_x`).
-    pub fn stored_state_values(&self) -> usize {
-        self.tail_states().len()
     }
 
     /// Cross-entropy loss against a one-hot target.
@@ -176,35 +170,16 @@ impl StreamingForward {
 }
 
 /// Truncated backward pass (Eqs. 33–36) from a streaming cache — the
-/// constant-memory counterpart of [`crate::backprop::backprop`] under
-/// `BackpropMode::PAPER_TRUNCATED`, bitwise equal to it.
+/// constant-memory counterpart of [`crate::backprop::backprop_into`] under
+/// `BackpropMode::PAPER_TRUNCATED`, bitwise equal to it — writing
+/// gradients and every intermediate into a reused [`BackpropWorkspace`]:
+/// the same workspace type and the same backward body the standard
+/// trainer uses, over a one-step window. On success `ws.grads` holds the
+/// gradients; mask gradients are not available in streaming mode (they
+/// would need the raw input window, which the paper's storage model does
+/// not budget for).
 ///
-/// Returns `(loss, gradients)`; mask gradients are not available in
-/// streaming mode (they would need the raw input window, which the paper's
-/// storage model does not budget for).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Linalg`] on internal shape mismatches.
-///
-/// # Panics
-///
-/// Panics if `target.len()` differs from the model's class count.
-pub fn streaming_backprop<N: Nonlinearity + Clone>(
-    model: &DfrClassifier<N>,
-    cache: &StreamingCache,
-    target: &[f64],
-) -> Result<(f64, Gradients), CoreError> {
-    let mut ws = BackpropWorkspace::new();
-    let loss = streaming_backprop_into(model, cache, target, &mut ws)?;
-    Ok((loss, ws.into_gradients()))
-}
-
-/// [`streaming_backprop`] writing gradients and every intermediate into a
-/// reused [`BackpropWorkspace`] — the same workspace type and the same
-/// backward body the standard trainer uses, over a one-step window. On
-/// success `ws.grads` holds the gradients; results are bitwise identical
-/// to [`streaming_backprop`].
+/// Returns the loss.
 ///
 /// # Errors
 ///
@@ -277,7 +252,9 @@ mod tests {
         let m = model();
         let u = series(40);
         let cache = StreamingForward::paper().run(&m, &u).expect("streaming");
-        assert_eq!(cache.stored_state_values(), 2 * 5); // 2·N_x, Table 2
+        // The backward pass reads 2·N_x state values: Table 2's
+        // "simplified" storage.
+        assert_eq!(cache.tail_states().len(), 2 * 5);
     }
 
     #[test]
@@ -294,7 +271,10 @@ mod tests {
             };
             let (loss_ref, g_ref) = backprop(&m, &u, &cache, &d, &options).expect("reference");
             let streaming = StreamingForward::paper().run(&m, &u).expect("streaming");
-            let (loss_st, g_st) = streaming_backprop(&m, &streaming, &d).expect("streaming bp");
+            let mut bp = BackpropWorkspace::new();
+            let loss_st =
+                streaming_backprop_into(&m, &streaming, &d, &mut bp).expect("streaming bp");
+            let g_st = bp.grads;
             assert_eq!(loss_st.to_bits(), loss_ref.to_bits(), "t={t}");
             assert_eq!(g_st.a.to_bits(), g_ref.a.to_bits(), "t={t}");
             assert_eq!(g_st.b.to_bits(), g_ref.b.to_bits(), "t={t}");

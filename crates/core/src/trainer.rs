@@ -161,11 +161,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Final reservoir parameters `(A, B)`.
-    pub fn reservoir_params(&self) -> (f64, f64) {
-        (self.model.reservoir().a(), self.model.reservoir().b())
-    }
-
     /// Total optimization wall-clock (SGD + ridge), the paper's "bp time".
     pub fn total_seconds(&self) -> f64 {
         self.sgd_seconds + self.ridge_seconds
@@ -335,7 +330,7 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
 
 /// Computes the DPRR feature matrix of a set of series under a model,
 /// using the same per-sample `1/T` scaling as
-/// [`DfrClassifier::forward_from_run`] so ridge-fitted readouts and
+/// [`DfrClassifier::forward`] so ridge-fitted readouts and
 /// SGD-trained readouts see identical features.
 ///
 /// # Errors
@@ -565,7 +560,7 @@ mod tests {
         let ds = easy_dataset();
         let options = small_options();
         let report = train(&ds, &options).unwrap();
-        let (a, b) = report.reservoir_params();
+        let (a, b) = (report.model.reservoir().a(), report.model.reservoir().b());
         assert!(a >= options.bounds.a.0 && a <= options.bounds.a.1);
         assert!(b >= options.bounds.b.0 && b <= options.bounds.b.1);
         // SGD must have actually moved the parameters from the init.
@@ -619,7 +614,7 @@ mod tests {
             ..small_options()
         };
         let report = train(&ds, &options).unwrap();
-        let (a, b) = report.reservoir_params();
+        let (a, b) = (report.model.reservoir().a(), report.model.reservoir().b());
         assert!((a - 0.01).abs() < 1e-6, "A barely moves: {a}");
         assert!((b - 0.01).abs() < 1e-6, "B barely moves: {b}");
     }

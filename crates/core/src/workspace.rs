@@ -83,7 +83,7 @@ impl BackpropWorkspace {
     /// Consumes the workspace, returning the gradients of the most recent
     /// backward pass (the allocating [`backprop`](crate::backprop::backprop)
     /// wrapper is built on this).
-    pub fn into_gradients(self) -> Gradients {
+    pub(crate) fn into_gradients(self) -> Gradients {
         self.grads
     }
 }

@@ -1,13 +1,11 @@
 //! Property-based tests of the backpropagation engine and its supporting
 //! machinery.
 
-use dfr_core::backprop::{backprop, backprop_into, BackpropMode, BackpropOptions};
+use dfr_core::backprop::{backprop, backprop_into, BackpropMode, BackpropOptions, Gradients};
 use dfr_core::memory::MemoryModel;
 use dfr_core::online::OnlineRidge;
 use dfr_core::optimizer::Schedule;
-use dfr_core::streaming::{
-    streaming_backprop, streaming_backprop_into, StreamingCache, StreamingForward,
-};
+use dfr_core::streaming::{streaming_backprop_into, StreamingCache, StreamingForward};
 use dfr_core::workspace::{BackpropWorkspace, TrainWorkspace};
 use dfr_core::{CoreError, DfrClassifier, ForwardCache};
 use dfr_linalg::ridge::{augment_ones, RidgeMode, RidgePlan};
@@ -28,6 +26,17 @@ fn classifier(a: f64, b: f64, w_scale: f64, seed: u64) -> DfrClassifier {
         }
     }
     m
+}
+
+/// The streaming backward pass into a fresh workspace: `(loss, gradients)`.
+fn streaming_backprop(
+    model: &DfrClassifier,
+    cache: &StreamingCache,
+    target: &[f64],
+) -> Result<(f64, Gradients), CoreError> {
+    let mut ws = BackpropWorkspace::new();
+    let loss = streaming_backprop_into(model, cache, target, &mut ws)?;
+    Ok((loss, ws.grads))
 }
 
 fn input(t: usize, phase: f64) -> Matrix {
@@ -253,7 +262,7 @@ proptest! {
 
     /// `features_for` (per-worker reservoir-run workspaces over the pool)
     /// and `evaluate`-style forward passes are bit-identical at every
-    /// thread count, and `forward_from_run` stays consistent with them.
+    /// thread count, and `forward_into` stays consistent with them.
     #[test]
     fn feature_matrix_bit_identical_across_thread_counts(
         a in 0.03_f64..0.3,
@@ -463,17 +472,14 @@ proptest! {
         let _ = learner.retract(&rogue, &t);
         let stale = learner.factor_stale();
         let (mut w, mut b) = (Matrix::zeros(0, 0), Vec::new());
-        let forced = learner.refit_into_with(
-            &mut w,
-            &mut b,
-            SolverPolicy::Fixed(SolverKind::Cholesky),
-        );
+        let forced = with_solver(SolverPolicy::Fixed(SolverKind::Cholesky), || {
+            learner.refit_into(&mut w, &mut b)
+        });
         prop_assert_eq!(forced.is_err(), stale, "forced Cholesky: {:?}", forced);
         if let Err(e) = forced {
             prop_assert!(matches!(e, CoreError::Linalg(_)), "untyped failure: {}", e);
         }
-        learner
-            .refit_into_with(&mut w, &mut b, SolverPolicy::Auto)
+        with_solver(SolverPolicy::Auto, || learner.refit_into(&mut w, &mut b))
             .expect("escalated refit must answer");
         prop_assert!(w.as_slice().iter().all(|v| v.is_finite()));
         prop_assert!(b.iter().all(|v| v.is_finite()));

@@ -142,23 +142,18 @@ impl Dataset {
     }
 
     /// Mutable training samples (used by normalisation).
-    pub fn train_mut(&mut self) -> &mut [Sample] {
+    pub(crate) fn train_mut(&mut self) -> &mut [Sample] {
         &mut self.train
     }
 
     /// Mutable test samples (used by normalisation).
-    pub fn test_mut(&mut self) -> &mut [Sample] {
+    pub(crate) fn test_mut(&mut self) -> &mut [Sample] {
         &mut self.test
     }
 
     /// One-hot target matrix for the training split (`n x num_classes`).
     pub fn one_hot_train(&self) -> Matrix {
         one_hot(&self.train, self.num_classes)
-    }
-
-    /// One-hot target matrix for the test split (`n x num_classes`).
-    pub fn one_hot_test(&self) -> Matrix {
-        one_hot(&self.test, self.num_classes)
     }
 
     /// Fraction of the most frequent class in the test split — the accuracy

@@ -49,19 +49,6 @@ impl Degeneracy {
             Degeneracy::NearZeroVariance => "nearzero",
         }
     }
-
-    /// Parses a family name (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownDataset`] for unknown names.
-    pub fn from_name(name: &str) -> Result<Self, DataError> {
-        let lower = name.to_ascii_lowercase();
-        Self::ALL
-            .into_iter()
-            .find(|d| d.name() == lower)
-            .ok_or(DataError::UnknownDataset { name: lower })
-    }
 }
 
 impl std::fmt::Display for Degeneracy {
@@ -241,17 +228,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for kind in Degeneracy::ALL {
-            assert_eq!(Degeneracy::from_name(kind.name()).unwrap(), kind);
-            assert_eq!(
-                Degeneracy::from_name(&kind.name().to_uppercase()).unwrap(),
-                kind
-            );
-        }
-        assert!(Degeneracy::from_name("bogus").is_err());
     }
 }

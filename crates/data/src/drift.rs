@@ -53,22 +53,9 @@ impl DriftKind {
         }
     }
 
-    /// Parses a family name (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownDataset`] for unknown names.
-    pub fn from_name(name: &str) -> Result<Self, DataError> {
-        let lower = name.to_ascii_lowercase();
-        Self::ALL
-            .into_iter()
-            .find(|d| d.name() == lower)
-            .ok_or(DataError::UnknownDataset { name: lower })
-    }
-
     /// The drift weight `w ∈ [0, 1]` of sample `idx` in a stream of
     /// `size` (a single-sample stream sits at the start statistics).
-    pub fn weight(self, idx: usize, size: usize) -> f64 {
+    fn weight(self, idx: usize, size: usize) -> f64 {
         if size <= 1 {
             return 0.0;
         }
@@ -296,19 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn kinds_parse_and_display() {
+    fn kinds_display_their_names() {
         for kind in DriftKind::ALL {
-            assert_eq!(DriftKind::from_name(kind.name()).unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
-            assert_eq!(
-                DriftKind::from_name(&kind.name().to_uppercase()).unwrap(),
-                kind
-            );
         }
-        assert!(matches!(
-            DriftKind::from_name("sideways"),
-            Err(DataError::UnknownDataset { .. })
-        ));
     }
 
     #[test]

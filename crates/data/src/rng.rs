@@ -29,7 +29,7 @@ pub fn fnv1a(s: &str) -> u64 {
 /// Combines a base seed with a sequence of context values into a new seed.
 ///
 /// Uses the splitmix64 finalizer so nearby inputs give unrelated outputs.
-pub fn derive_seed(base: u64, context: &[u64]) -> u64 {
+fn derive_seed(base: u64, context: &[u64]) -> u64 {
     let mut z = base;
     for &c in context {
         z = z.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_add(c);

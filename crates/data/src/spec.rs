@@ -183,12 +183,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Sets the noise AR(1) coefficient (builder style).
-    pub fn with_noise_ar(mut self, noise_ar: f64) -> Self {
-        self.noise_ar = noise_ar;
-        self
-    }
-
     /// Sets the class-separation scale (builder style).
     pub fn with_class_sep(mut self, class_sep: f64) -> Self {
         self.class_sep = class_sep;

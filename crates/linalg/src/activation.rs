@@ -50,7 +50,7 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
+fn softmax_into(logits: &[f64], out: &mut [f64]) {
     assert_eq!(logits.len(), out.len(), "softmax: length mismatch");
     out.copy_from_slice(logits);
     softmax_in_place(out);
@@ -74,7 +74,7 @@ pub fn softmax_in_place(logits: &mut [f64]) {
 /// logit-space loss both want them). One pass over `w` through the
 /// lockstep matvec kernel, bias added in the epilogue, then the stable
 /// softmax — bitwise identical to `matvec_into` + a bias loop +
-/// [`softmax_into`] run separately.
+/// [`softmax_in_place`] run separately.
 ///
 /// # Errors
 ///
@@ -104,7 +104,7 @@ pub fn dense_bias_softmax_into(
 /// in `logits` (both resized to `n × w.rows()`, allocations reused).
 ///
 /// The dense half runs as **one** `x · wᵀ` product through the register-
-/// tiled GEMM microkernel ([`crate::Matrix::matmul_t_into_ws`]) instead of
+/// tiled GEMM microkernel ([`crate::Matrix::matmul_t_into`]) instead of
 /// `n` separate matvecs — the batch amortises the packing of `w` across
 /// every row, and the product dispatches to whichever SIMD microkernel
 /// [`crate::kernels::active`] selects (scalar/SSE2/AVX2/NEON; all strict
@@ -133,7 +133,7 @@ pub fn dense_bias_softmax_rows_into(
             rhs: (bias.len(), 1),
         });
     }
-    x.matmul_t_into_ws(w, logits, ws)?;
+    x.matmul_t_into(w, logits, ws)?;
     probs.resize(x.rows(), w.rows());
     for i in 0..logits.rows() {
         let row = logits.row_mut(i);
@@ -186,19 +186,8 @@ pub fn cross_entropy_from_logits(logits: &[f64], d: &[f64]) -> f64 {
         .sum::<f64>()
 }
 
-/// Gradient of softmax-cross-entropy with respect to the logits: `y − d`
-/// (paper Eq. 16).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn softmax_cross_entropy_grad(y: &[f64], d: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; y.len()];
-    softmax_cross_entropy_grad_into(y, d, &mut out);
-    out
-}
-
-/// [`softmax_cross_entropy_grad`] written into a caller-owned buffer.
+/// Gradient of softmax-cross-entropy with respect to the logits, `y − d`
+/// (paper Eq. 16), written into a caller-owned buffer.
 ///
 /// # Panics
 ///
@@ -258,10 +247,12 @@ mod tests {
         for (a, b) in p.iter().zip(&softmax(&logits)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let d = [0.0, 1.0, 0.0, 0.0];
-        let mut g = [9.0; 4];
-        softmax_cross_entropy_grad_into(&p, &d, &mut g);
-        assert_eq!(g.to_vec(), softmax_cross_entropy_grad(&p, &d));
+    }
+
+    fn grad(y: &[f64], d: &[f64]) -> Vec<f64> {
+        let mut g = vec![9.0; y.len()];
+        softmax_cross_entropy_grad_into(y, d, &mut g);
+        g
     }
 
     #[test]
@@ -338,7 +329,7 @@ mod tests {
     fn grad_is_y_minus_d() {
         let y = [0.2, 0.3, 0.5];
         let d = [0.0, 1.0, 0.0];
-        assert_eq!(softmax_cross_entropy_grad(&y, &d), vec![0.2, -0.7, 0.5]);
+        assert_eq!(grad(&y, &d), vec![0.2, -0.7, 0.5]);
     }
 
     #[test]
@@ -347,7 +338,7 @@ mod tests {
         let z = [0.1, -0.4, 0.7];
         let d = [1.0, 0.0, 0.0];
         let y = softmax(&z);
-        let analytic = softmax_cross_entropy_grad(&y, &d);
+        let analytic = grad(&y, &d);
         let h = 1e-6;
         for i in 0..3 {
             let mut zp = z;

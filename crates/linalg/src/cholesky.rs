@@ -38,7 +38,8 @@ const SOLVE_BLOCK: usize = 8;
 /// # fn main() -> Result<(), dfr_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
 /// let chol = Cholesky::factor(&a)?;
-/// let x = chol.solve_vec(&[8.0, 7.0])?;
+/// let mut x = [8.0, 7.0];
+/// chol.solve_vec_in_place(&mut x)?;
 /// // Check A x = b.
 /// let b = a.matvec(&x)?;
 /// assert!((b[0] - 8.0).abs() < 1e-12 && (b[1] - 7.0).abs() < 1e-12);
@@ -105,22 +106,6 @@ impl Cholesky {
     /// * [`LinalgError::NonFinite`] if `diag` is not finite.
     /// * [`LinalgError::NotPositiveDefinite`] if `diag ≤ 0`.
     pub fn scaled_identity(n: usize, diag: f64) -> Result<Self, LinalgError> {
-        let mut out = Cholesky::empty();
-        Cholesky::scaled_identity_into(n, diag, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Cholesky::scaled_identity`] writing into a caller-owned
-    /// factorisation, reusing its storage — the allocation-free form.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cholesky::scaled_identity`].
-    pub fn scaled_identity_into(
-        n: usize,
-        diag: f64,
-        out: &mut Cholesky,
-    ) -> Result<(), LinalgError> {
         if n == 0 {
             return Err(LinalgError::Empty { op: "cholesky" });
         }
@@ -130,14 +115,14 @@ impl Cholesky {
         if diag <= 0.0 {
             return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
         }
+        let mut out = Cholesky::empty();
         out.u.resize(n, n);
         out.u.fill_zero();
         let d = diag.sqrt();
         for i in 0..n {
             out.u[(i, i)] = d;
         }
-        out.failed = None;
-        Ok(())
+        Ok(out)
     }
 
     /// [`Cholesky::factor`] writing into a caller-owned factorisation,
@@ -225,8 +210,8 @@ impl Cholesky {
     }
 
     /// Whether the stored factor is usable: false after a failed rank-1
-    /// rotation or factorisation, until [`Cholesky::factor_into`] or
-    /// [`Cholesky::scaled_identity_into`] succeeds.
+    /// rotation or factorisation, until [`Cholesky::factor_into`]
+    /// succeeds.
     pub fn is_valid(&self) -> bool {
         self.failed.is_none()
     }
@@ -247,19 +232,8 @@ impl Cholesky {
         &self.u
     }
 
-    /// Solves `A x = b` for a single right-hand side vector.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cholesky::solve_vec_in_place`].
-    pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut y = b.to_vec();
-        self.solve_vec_in_place(&mut y)?;
-        Ok(y)
-    }
-
-    /// Solves `A x = b` in place, overwriting `b` with the solution — the
-    /// allocation-free form of [`Cholesky::solve_vec`].
+    /// Solves `A x = b` for a single right-hand side vector in place,
+    /// overwriting `b` with the solution.
     ///
     /// # Errors
     ///
@@ -296,7 +270,7 @@ impl Cholesky {
     /// Right-hand-side columns are substituted `SOLVE_BLOCK` at a time,
     /// each block's lanes held in registers while the rows of `U` stream
     /// past: per element the subtraction order over `k` is identical to
-    /// the column-by-column [`Cholesky::solve_vec`] loop, so results are
+    /// the column-by-column [`Cholesky::solve_vec_in_place`] loop, so results are
     /// bitwise unchanged while the traversal stays unit-stride and
     /// scratch-free.
     ///
@@ -525,15 +499,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Log-determinant of the original matrix, `log det A = 2 Σ log L[i][i]`;
-    /// NaN while the factor is invalid.
-    pub fn log_det(&self) -> f64 {
-        if !self.is_valid() {
-            return f64::NAN;
-        }
-        (0..self.dim()).map(|i| self.u[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
     /// Cheap 1-norm reciprocal-condition estimate `1 / (‖A‖₁·est‖A⁻¹‖₁)`
     /// of the factored matrix — the vetting signal of
     /// [`crate::solver::SolverPolicy::Auto`].
@@ -688,30 +653,6 @@ fn trailing_update(l: &mut Matrix, kb: usize, ke: usize, ws: &mut GemmWorkspace,
     }
 }
 
-/// Convenience wrapper: factor `a` and solve `a x = b` in one call.
-///
-/// # Errors
-///
-/// Propagates any error from [`Cholesky::factor`] or [`Cholesky::solve`].
-///
-/// # Example
-///
-/// ```
-/// use dfr_linalg::{Matrix, cholesky::solve_spd};
-///
-/// # fn main() -> Result<(), dfr_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 2.0]])?;
-/// let b = Matrix::from_rows(&[&[2.0], &[4.0]])?;
-/// let x = solve_spd(&a, &b)?;
-/// assert!((x[(0, 0)] - 1.0).abs() < 1e-12);
-/// assert!((x[(1, 0)] - 2.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    Cholesky::factor(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,7 +679,8 @@ mod tests {
         let a = spd3();
         let c = Cholesky::factor(&a).unwrap();
         let b = [1.0, -2.0, 0.5];
-        let x = c.solve_vec(&b).unwrap();
+        let mut x = b.to_vec();
+        c.solve_vec_in_place(&mut x).unwrap();
         let back = a.matvec(&x).unwrap();
         for (got, want) in back.iter().zip(&b) {
             assert!((got - want).abs() < 1e-10);
@@ -749,7 +691,7 @@ mod tests {
     fn solve_matrix_multiple_rhs() {
         let a = spd3();
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let x = solve_spd(&a, &b).unwrap();
+        let x = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
         let back = a.matmul(&x).unwrap();
         for i in 0..3 {
             for j in 0..2 {
@@ -786,7 +728,7 @@ mod tests {
     #[test]
     fn wrong_rhs_len_is_rejected() {
         let c = Cholesky::factor(&spd3()).unwrap();
-        assert!(c.solve_vec(&[1.0]).is_err());
+        assert!(c.solve_vec_in_place(&mut [1.0]).is_err());
         assert!(c.solve(&Matrix::zeros(2, 2)).is_err());
     }
 
@@ -813,14 +755,7 @@ mod tests {
                 assert_eq!(v.to_bits(), alloc[(i, j)].to_bits());
             }
         }
-        assert!(Cholesky::empty().solve_vec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 8.0]]).unwrap();
-        let c = Cholesky::factor(&a).unwrap();
-        assert!((c.log_det() - (16.0_f64).ln()).abs() < 1e-12);
+        assert!(Cholesky::empty().solve_vec_in_place(&mut [1.0]).is_err());
     }
 
     #[test]
@@ -908,13 +843,11 @@ mod tests {
         }
     }
 
-    /// Every use of an invalid factor answers `err`; rcond reads 0 and
-    /// the log-determinant NaN.
+    /// Every use of an invalid factor answers `err`; rcond reads 0.
     fn assert_refuses(c: &mut Cholesky, err: &LinalgError) {
         let mut work = Vec::new();
         assert!(!c.is_valid());
-        assert!(c.log_det().is_nan());
-        assert_eq!(c.solve_vec(&[1.0; 3]).as_ref(), Err(err));
+        assert_eq!(c.solve_vec_in_place(&mut [1.0; 3]).as_ref(), Err(err));
         assert_eq!(c.solve(&Matrix::filled(3, 2, 1.0)).as_ref(), Err(err));
         assert_eq!(c.rank1_update(&[0.1; 3], &mut work).as_ref(), Err(err));
         assert_eq!(c.rank1_downdate(&[0.1; 3], &mut work).as_ref(), Err(err));
@@ -932,12 +865,10 @@ mod tests {
         assert_refuses(&mut c, &err.unwrap_err());
         Cholesky::factor_into(&a, &mut c).unwrap();
         assert_eq!(c, fresh, "refactoring restores a usable factor");
-        // A failed factorisation invalidates too; the identity seed heals.
+        // A failed factorisation invalidates too.
         let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
         let err = Cholesky::factor_into(&indefinite, &mut c).unwrap_err();
         assert_refuses(&mut c, &err);
-        Cholesky::scaled_identity_into(3, 4.0, &mut c).unwrap();
-        assert_eq!(c, Cholesky::scaled_identity(3, 4.0).unwrap());
     }
 
     #[test]
@@ -1013,10 +944,6 @@ mod tests {
         assert!(Cholesky::scaled_identity(0, 1.0).is_err());
         assert!(Cholesky::scaled_identity(2, 0.0).is_err());
         assert!(Cholesky::scaled_identity(2, f64::INFINITY).is_err());
-        // The `_into` form reuses storage and matches.
-        let mut out = Cholesky::factor(&spd3()).unwrap();
-        Cholesky::scaled_identity_into(3, 4.0, &mut out).unwrap();
-        assert_eq!(out, c);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`Matrix`] — a row-major dense matrix of `f64` with the usual
 //!   products ([`Matrix::matmul`], [`Matrix::matvec`], transposes, …).
 //! * [`gemm`] — the register-tiled, panel-packed GEMM microkernel family
-//!   every dense product routes through (see `DESIGN.md` §10), with
-//!   [`GemmWorkspace`] owning the reusable packing buffers.
+//!   every dense product routes through (see `DESIGN.md` §10). Each
+//!   product has an allocating form and one `_into` form that packs into
+//!   a caller-owned [`GemmWorkspace`] (e.g. [`Matrix::matmul_into`]).
 //! * [`kernels`] — runtime-dispatched SIMD microkernels (AVX2/SSE2/NEON
 //!   with a scalar floor, `DESIGN.md` §13): every kernel is bitwise
 //!   identical to scalar, selected once per process and overridable via

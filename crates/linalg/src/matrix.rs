@@ -114,24 +114,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Builds a single-column matrix from a slice.
-    pub fn column_from_slice(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
-    /// Builds a single-row matrix from a slice.
-    pub fn row_from_slice(v: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: v.len(),
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -167,11 +149,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -191,18 +168,6 @@ impl Matrix {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         let cols = self.cols;
         &mut self.data[i * cols..(i + 1) * cols]
-    }
-
-    /// Copies column `j` into a new `Vec`.
-    ///
-    /// Allocates on every call; hot loops should iterate [`Matrix::col_iter`]
-    /// instead (or reuse a scratch buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        self.col_iter(j).collect()
     }
 
     /// Iterates column `j` top to bottom without allocating (a strided walk
@@ -247,37 +212,27 @@ impl Matrix {
     /// banding, so results are bit-identical to the naive loop at every
     /// thread count.
     ///
+    /// Packs into a fresh [`GemmWorkspace`]; loops that repeat a product
+    /// call [`Matrix::matmul_into`] with one they own.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out)?;
+        self.matmul_into(rhs, &mut out, &mut GemmWorkspace::new())?;
         Ok(out)
     }
 
     /// [`Matrix::matmul`] writing into a caller-owned output matrix, which
     /// is resized to `self.rows() x rhs.cols()` (reusing its allocation) and
-    /// overwritten. Packs into a thread-local workspace; see
-    /// [`Matrix::matmul_into_ws`] for caller-owned packing buffers.
+    /// overwritten, and packing into a caller-owned [`GemmWorkspace`] —
+    /// allocation-free once both reach their high-water mark.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| {
-            self.matmul_into_ws(rhs, out, ws)
-        })
-    }
-
-    /// [`Matrix::matmul_into`] packing into a caller-owned
-    /// [`GemmWorkspace`] — the fully allocation-free form once the
-    /// workspace buffers reach their high-water mark.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_into_ws(
+    pub fn matmul_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
@@ -314,29 +269,18 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into(rhs, &mut out)?;
+        self.t_matmul_into(rhs, &mut out, &mut GemmWorkspace::new())?;
         Ok(out)
     }
 
-    /// [`Matrix::t_matmul`] writing into a caller-owned output matrix
-    /// (resized to `self.cols() x rhs.cols()`, allocation reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
-    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| {
-            self.t_matmul_into_ws(rhs, out, ws)
-        })
-    }
-
-    /// [`Matrix::t_matmul_into`] packing into a caller-owned
+    /// [`Matrix::t_matmul`] into a caller-owned output matrix (resized to
+    /// `self.cols() x rhs.cols()`, allocation reused) and
     /// [`GemmWorkspace`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
-    pub fn t_matmul_into_ws(
+    pub fn t_matmul_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
@@ -374,29 +318,18 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(rhs, &mut out)?;
+        self.matmul_t_into(rhs, &mut out, &mut GemmWorkspace::new())?;
         Ok(out)
     }
 
-    /// [`Matrix::matmul_t`] writing into a caller-owned output matrix
-    /// (resized to `self.rows() x rhs.rows()`, allocation reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| {
-            self.matmul_t_into_ws(rhs, out, ws)
-        })
-    }
-
-    /// [`Matrix::matmul_t_into`] packing into a caller-owned
+    /// [`Matrix::matmul_t`] into a caller-owned output matrix (resized to
+    /// `self.rows() x rhs.rows()`, allocation reused) and
     /// [`GemmWorkspace`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
-    pub fn matmul_t_into_ws(
+    pub fn matmul_t_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
@@ -434,19 +367,13 @@ impl Matrix {
     /// are bitwise equal to `self.matmul_t(self)` at every thread count.
     pub fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.gram_into(&mut out);
+        self.gram_into(&mut out, &mut GemmWorkspace::new());
         out
     }
 
-    /// [`Matrix::gram`] writing into a caller-owned output matrix (resized
-    /// to `n x n`, allocation reused). Same triangular banding, bitwise
-    /// identical at every thread count.
-    pub fn gram_into(&self, out: &mut Matrix) {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| self.gram_into_ws(out, ws));
-    }
-
-    /// [`Matrix::gram_into`] packing into a caller-owned [`GemmWorkspace`].
-    pub fn gram_into_ws(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
+    /// [`Matrix::gram`] into a caller-owned output matrix (resized to
+    /// `n x n`, allocation reused) and [`GemmWorkspace`].
+    pub fn gram_into(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
         let (n, k) = (self.rows, self.cols);
         out.resize(n, n);
         if n == 0 {
@@ -469,19 +396,13 @@ impl Matrix {
     /// `self.t_matmul(self)` at every thread count.
     pub fn gram_t(&self) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.gram_t_into(&mut out);
+        self.gram_t_into(&mut out, &mut GemmWorkspace::new());
         out
     }
 
-    /// [`Matrix::gram_t`] writing into a caller-owned output matrix (resized
-    /// to `p x p`, allocation reused).
-    pub fn gram_t_into(&self, out: &mut Matrix) {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| self.gram_t_into_ws(out, ws));
-    }
-
-    /// [`Matrix::gram_t_into`] packing into a caller-owned
-    /// [`GemmWorkspace`].
-    pub fn gram_t_into_ws(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
+    /// [`Matrix::gram_t`] into a caller-owned output matrix (resized to
+    /// `p x p`, allocation reused) and [`GemmWorkspace`].
+    pub fn gram_t_into(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
         let (p, k) = (self.cols, self.rows);
         out.resize(p, p);
         if p == 0 {
@@ -555,19 +476,8 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposed matrix-vector product `selfᵀ * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != v.len()`.
-    pub fn t_matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut out = vec![0.0; self.cols];
-        self.t_matvec_into(v, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Matrix::t_matvec`] writing into a caller-owned slice of length
-    /// `self.cols()` — the allocation-free form hot loops use.
+    /// Transposed matrix-vector product `selfᵀ * v`, written into a
+    /// caller-owned slice of length `self.cols()`.
     ///
     /// # Errors
     ///
@@ -627,11 +537,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-
-    /// Frobenius norm (`sqrt` of the sum of squared elements).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Largest absolute element, or `0.0` for an empty matrix.
@@ -827,7 +732,10 @@ impl AddAssign<&Matrix> for Matrix {
 /// ```
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    // An explicit `+0.0` seed: `Iterator::sum` may start from `-0.0`,
+    // which would make an empty or all-`-0.0` dot differ in sign from the
+    // `+0.0`-seeded lockstep chains of `matvec_rows`.
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }
 
 /// The `0 x 0` matrix — lets workspace types holding matrices derive
@@ -1011,7 +919,7 @@ mod tests {
         let m = sample();
         assert_eq!(m[(1, 2)], 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
+        assert_eq!(m.col_iter(1).collect::<Vec<_>>(), vec![2.0, 5.0]);
     }
 
     #[test]
@@ -1055,9 +963,11 @@ mod tests {
     fn matvec_and_t_matvec() {
         let m = sample();
         assert_eq!(m.matvec(&[1.0, 0.0, 1.0]).unwrap(), vec![4.0, 10.0]);
-        assert_eq!(m.t_matvec(&[1.0, 1.0]).unwrap(), vec![5.0, 7.0, 9.0]);
+        let mut t = vec![0.0; 3];
+        m.t_matvec_into(&[1.0, 1.0], &mut t).unwrap();
+        assert_eq!(t, vec![5.0, 7.0, 9.0]);
         assert!(m.matvec(&[1.0]).is_err());
-        assert!(m.t_matvec(&[1.0]).is_err());
+        assert!(m.t_matvec_into(&[1.0], &mut t).is_err());
     }
 
     #[test]
@@ -1098,7 +1008,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
     }
 
@@ -1110,10 +1019,11 @@ mod tests {
     }
 
     #[test]
-    fn col_iter_matches_col() {
+    fn col_iter_walks_columns() {
         let m = sample();
         for j in 0..3 {
-            assert_eq!(m.col_iter(j).collect::<Vec<_>>(), m.col(j));
+            let want: Vec<f64> = (0..2).map(|i| m[(i, j)]).collect();
+            assert_eq!(m.col_iter(j).collect::<Vec<_>>(), want);
         }
         let empty = Matrix::zeros(0, 2);
         assert_eq!(empty.col_iter(1).count(), 0);
@@ -1177,15 +1087,16 @@ mod tests {
         let a = sample(); // 2x3
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap(); // 3x2
         let mut out = Matrix::filled(7, 7, 9.0); // stale shape + contents
-        a.matmul_into(&b, &mut out).unwrap();
+        let mut ws = GemmWorkspace::new();
+        a.matmul_into(&b, &mut out, &mut ws).unwrap();
         assert_eq!(out, a.matmul(&b).unwrap());
-        a.t_matmul_into(&a, &mut out).unwrap();
+        a.t_matmul_into(&a, &mut out, &mut ws).unwrap();
         assert_eq!(out, a.t_matmul(&a).unwrap());
-        a.matmul_t_into(&a, &mut out).unwrap();
+        a.matmul_t_into(&a, &mut out, &mut ws).unwrap();
         assert_eq!(out, a.matmul_t(&a).unwrap());
-        a.gram_into(&mut out);
+        a.gram_into(&mut out, &mut ws);
         assert_eq!(out, a.gram());
-        a.gram_t_into(&mut out);
+        a.gram_t_into(&mut out, &mut ws);
         assert_eq!(out, a.gram_t());
 
         let mut v2 = vec![1.0; 2];
@@ -1193,7 +1104,7 @@ mod tests {
         assert_eq!(v2, a.matvec(&[1.0, 0.0, 1.0]).unwrap());
         let mut v3 = vec![1.0; 3];
         a.t_matvec_into(&[1.0, 1.0], &mut v3).unwrap();
-        assert_eq!(v3, a.t_matvec(&[1.0, 1.0]).unwrap());
+        assert_eq!(v3, a.transpose().matvec(&[1.0, 1.0]).unwrap());
         // Wrong output lengths are shape errors, not panics.
         assert!(a.matvec_into(&[1.0, 0.0, 1.0], &mut v3).is_err());
         assert!(a.t_matvec_into(&[1.0, 1.0], &mut v2).is_err());
@@ -1202,6 +1113,17 @@ mod tests {
     #[test]
     fn dot_known() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
+    }
+
+    #[test]
+    fn dot_and_matvec_sums_start_at_positive_zero() {
+        assert_eq!(dot(&[], &[]).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(dot(&[-1.0], &[0.0]).to_bits(), 0.0_f64.to_bits());
+        // Rows 0..4 take the lockstep chains, row 4 the `dot` tail.
+        let m = Matrix::filled(5, 1, -1.0);
+        for (i, v) in m.matvec(&[0.0]).unwrap().iter().enumerate() {
+            assert_eq!(v.to_bits(), 0.0_f64.to_bits(), "row {i}");
+        }
     }
 
     #[test]

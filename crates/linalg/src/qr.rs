@@ -27,7 +27,7 @@ use crate::{LinalgError, Matrix};
 /// # fn main() -> Result<(), dfr_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
 /// let mut qr = Qr::factor(&a)?;
-/// let x = qr.solve(&Matrix::column_from_slice(&[8.0, 7.0]))?;
+/// let x = qr.solve(&Matrix::from_vec(2, 1, vec![8.0, 7.0])?)?;
 /// let b = a.matmul(&x)?;
 /// assert!((b[(0, 0)] - 8.0).abs() < 1e-12 && (b[(1, 0)] - 7.0).abs() < 1e-12);
 /// # Ok(())
@@ -153,22 +153,6 @@ impl Qr {
         Ok(())
     }
 
-    /// Rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.qr.rows()
-    }
-
-    /// Columns of the factored matrix (= order of `R`).
-    pub fn cols(&self) -> usize {
-        self.qr.cols()
-    }
-
-    /// The `i`-th diagonal entry of `R` — its magnitude relative to the
-    /// largest diagonal entry is the rank signal the escalation reads.
-    pub fn r_diag(&self, i: usize) -> f64 {
-        self.qr[(i, i)]
-    }
-
     /// Solves `A x = b` (least squares for `m > n`), allocating the output.
     ///
     /// # Errors
@@ -187,7 +171,7 @@ impl Qr {
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::ShapeMismatch`] if `b.rows() != self.rows()`.
+    /// * [`LinalgError::ShapeMismatch`] if `b.rows()` differs from the factored matrix's row count.
     /// * [`LinalgError::Singular`] if a diagonal entry of `R` is
     ///   numerically zero (`|R[i][i]| ≤ max(m, n)·ε·max|R[j][j]|`) — the
     ///   system is rank-deficient and needs the SVD's minimum-norm solve.
@@ -276,7 +260,10 @@ mod tests {
     fn matches_cholesky_on_spd() {
         let a = spd3();
         let b = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]).unwrap();
-        let chol = crate::cholesky::solve_spd(&a, &b).unwrap();
+        let chol = crate::cholesky::Cholesky::factor(&a)
+            .unwrap()
+            .solve(&b)
+            .unwrap();
         let x = Qr::factor(&a).unwrap().solve(&b).unwrap();
         for i in 0..3 {
             let rel = (x[(i, 0)] - chol[(i, 0)]).abs() / chol[(i, 0)].abs().max(1.0);

@@ -30,7 +30,7 @@ pub enum RidgeMode {
 ///
 /// `x` is `n x p` (one sample per row), `y` is `n x q` (targets, e.g. one-hot
 /// class rows), and the returned `W` is `p x q`. The formulation is chosen
-/// automatically; see [`ridge_fit_with`] to force one.
+/// automatically; see [`RidgePlan::with_mode`] to force one.
 ///
 /// # Errors
 ///
@@ -56,21 +56,7 @@ pub enum RidgeMode {
 /// # }
 /// ```
 pub fn ridge_fit(x: &Matrix, y: &Matrix, beta: f64) -> Result<Matrix, LinalgError> {
-    ridge_fit_with(x, y, beta, RidgeMode::Auto)
-}
-
-/// Like [`ridge_fit`] but with an explicit [`RidgeMode`].
-///
-/// # Errors
-///
-/// Same as [`ridge_fit`].
-pub fn ridge_fit_with(
-    x: &Matrix,
-    y: &Matrix,
-    beta: f64,
-    mode: RidgeMode,
-) -> Result<Matrix, LinalgError> {
-    RidgePlan::with_mode(x, y, mode)?.solve(beta)
+    RidgePlan::new(x, y)?.solve(beta)
 }
 
 /// A prepared ridge system for sweeping several β candidates over the same
@@ -84,8 +70,8 @@ pub fn ridge_fit_with(
 /// per candidate instead of `O(n²p + n³/3)`. Every intermediate lives in a
 /// workspace buffer, so a sweep allocates nothing after the first solve.
 ///
-/// Per β, results are bitwise identical to a standalone [`ridge_fit_with`]
-/// call at every thread count (the same Gram/factor/substitution kernels
+/// Per β, results are bitwise identical to a fresh plan's first solve at
+/// every thread count (the same Gram/factor/substitution kernels
 /// run on the same values).
 ///
 /// # Example
@@ -231,11 +217,11 @@ impl<'a> RidgePlan<'a> {
         let s = scratch.get();
         if use_primal {
             // (XᵀX + βI) W = Xᵀ Y — the microkernel Gram builds XᵀX.
-            x.gram_t_into_ws(&mut s.gram, &mut s.gemm);
-            x.t_matmul_into_ws(y, &mut s.rhs, &mut s.gemm)?;
+            x.gram_t_into(&mut s.gram, &mut s.gemm);
+            x.t_matmul_into(y, &mut s.rhs, &mut s.gemm)?;
         } else {
             // W = Xᵀ (XXᵀ + βI)⁻¹ Y — the microkernel Gram builds XXᵀ.
-            x.gram_into_ws(&mut s.gram, &mut s.gemm);
+            x.gram_into(&mut s.gram, &mut s.gemm);
             s.rhs.resize(0, 0);
         }
         Ok(RidgePlan {
@@ -245,11 +231,6 @@ impl<'a> RidgePlan<'a> {
             scratch,
             report: SolverReport::default(),
         })
-    }
-
-    /// Whether the plan solves the primal (`p x p`) system.
-    pub fn is_primal(&self) -> bool {
-        self.use_primal
     }
 
     /// Solves for one β, allocating the returned weight matrix.
@@ -285,13 +266,8 @@ impl<'a> RidgePlan<'a> {
         self.solve_into_with(beta, w, solver::active())
     }
 
-    /// [`RidgePlan::solve_into`] under an explicit policy, bypassing the
-    /// dispatch — the form the differential suites drive directly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RidgePlan::solve`].
-    pub fn solve_into_with(
+    /// [`RidgePlan::solve_into`] under an explicit policy.
+    fn solve_into_with(
         &mut self,
         beta: f64,
         w: &mut Matrix,
@@ -324,7 +300,7 @@ impl<'a> RidgePlan<'a> {
             solve_policy(policy, &mut report, sys, rhs, w, chol, qr, svd, cond)
         } else {
             solve_policy(policy, &mut report, sys, y, alpha, chol, qr, svd, cond)
-                .and_then(|()| x.t_matmul_into_ws(alpha, w, gemm))
+                .and_then(|()| x.t_matmul_into(alpha, w, gemm))
         };
         if let Err(e) = &result {
             report.error = Some(e.clone());
@@ -485,25 +461,6 @@ pub fn augment_ones_into(x: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Mean squared error between predictions `X W` and targets `Y`,
-/// averaged over all elements.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] on incompatible shapes.
-pub fn mse(x: &Matrix, w: &Matrix, y: &Matrix) -> Result<f64, LinalgError> {
-    let pred = x.matmul(w)?;
-    if pred.shape() != y.shape() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "mse",
-            lhs: pred.shape(),
-            rhs: y.shape(),
-        });
-    }
-    let diff = &pred - y;
-    Ok(diff.as_slice().iter().map(|d| d * d).sum::<f64>() / (y.len() as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,8 +496,14 @@ mod tests {
     fn primal_equals_dual() {
         let (x, y) = toy();
         for beta in [1e-6, 1e-2, 1.0] {
-            let wp = ridge_fit_with(&x, &y, beta, RidgeMode::Primal).unwrap();
-            let wd = ridge_fit_with(&x, &y, beta, RidgeMode::Dual).unwrap();
+            let wp = RidgePlan::with_mode(&x, &y, RidgeMode::Primal)
+                .unwrap()
+                .solve(beta)
+                .unwrap();
+            let wd = RidgePlan::with_mode(&x, &y, RidgeMode::Dual)
+                .unwrap()
+                .solve(beta)
+                .unwrap();
             for i in 0..wp.rows() {
                 assert!(
                     (wp[(i, 0)] - wd[(i, 0)]).abs() < 1e-8,
@@ -557,7 +520,8 @@ mod tests {
         let (x, y) = toy();
         let w_small = ridge_fit(&x, &y, 1e-8).unwrap();
         let w_big = ridge_fit(&x, &y, 100.0).unwrap();
-        assert!(w_big.frobenius_norm() < w_small.frobenius_norm());
+        let sq_norm = |w: &Matrix| w.as_slice().iter().map(|v| v * v).sum::<f64>();
+        assert!(sq_norm(&w_big) < sq_norm(&w_small));
     }
 
     #[test]
@@ -588,10 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn mse_zero_for_exact_fit() {
+    fn exact_fit_has_zero_mse() {
         let (x, y) = toy();
         let w = ridge_fit(&x, &y, 1e-12).unwrap();
-        assert!(mse(&x, &w, &y).unwrap() < 1e-10);
+        let residual = &x.matmul(&w).unwrap() - &y;
+        let mse = residual.as_slice().iter().map(|d| d * d).sum::<f64>() / y.len() as f64;
+        assert!(mse < 1e-10);
     }
 
     #[test]
@@ -602,7 +568,10 @@ mod tests {
             let mut w = Matrix::zeros(0, 0);
             for beta in [1e-6, 1e-4, 1e-2, 1.0] {
                 plan.solve_into(beta, &mut w).unwrap();
-                let standalone = ridge_fit_with(&x, &y, beta, mode).unwrap();
+                let standalone = RidgePlan::with_mode(&x, &y, mode)
+                    .unwrap()
+                    .solve(beta)
+                    .unwrap();
                 assert_eq!(w.shape(), standalone.shape());
                 for (a, b) in w.as_slice().iter().zip(standalone.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "mode {mode:?} beta {beta}");

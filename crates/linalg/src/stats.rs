@@ -56,24 +56,6 @@ pub fn min_max(v: &[f64]) -> Option<(f64, f64)> {
     )
 }
 
-/// Standardises `v` in place to zero mean and unit standard deviation.
-///
-/// If the standard deviation is below `1e-12` only the mean is removed
-/// (constant signals are left at zero rather than divided by ~0).
-pub fn standardize_in_place(v: &mut [f64]) {
-    let m = mean(v);
-    let s = std_dev(v);
-    if s < 1e-12 {
-        for x in v.iter_mut() {
-            *x -= m;
-        }
-    } else {
-        for x in v.iter_mut() {
-            *x = (*x - m) / s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,20 +83,5 @@ mod tests {
     #[test]
     fn min_max_known() {
         assert_eq!(min_max(&[3.0, -1.0, 2.0]), Some((-1.0, 3.0)));
-    }
-
-    #[test]
-    fn standardize_gives_zero_mean_unit_std() {
-        let mut v = vec![1.0, 2.0, 3.0, 4.0, 10.0];
-        standardize_in_place(&mut v);
-        assert!(mean(&v).abs() < 1e-12);
-        assert!((std_dev(&v) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn standardize_constant_signal() {
-        let mut v = vec![5.0; 4];
-        standardize_in_place(&mut v);
-        assert!(v.iter().all(|&x| x == 0.0));
     }
 }

@@ -199,11 +199,6 @@ impl Svd {
         Ok(())
     }
 
-    /// The singular values (non-negative, in Jacobi order, not sorted).
-    pub fn sigma(&self) -> &[f64] {
-        &self.sigma
-    }
-
     /// Numerical rank: the number of singular values above the default
     /// truncation tolerance `max(m, n)·ε·σ_max`.
     pub fn rank(&self) -> usize {
@@ -269,7 +264,7 @@ impl Svd {
             work,
             gemm,
         } = self;
-        u.t_matmul_into_ws(b, work, gemm)?;
+        u.t_matmul_into(b, work, gemm)?;
         for (j, &s) in sigma.iter().enumerate() {
             if s > tol {
                 let inv = 1.0 / s;
@@ -282,7 +277,7 @@ impl Svd {
                 }
             }
         }
-        v.matmul_into_ws(work, out, gemm)
+        v.matmul_into(work, out, gemm)
     }
 }
 
@@ -314,7 +309,10 @@ mod tests {
     fn matches_cholesky_on_spd() {
         let a = spd3();
         let b = Matrix::from_rows(&[&[1.0, 0.5], &[-2.0, 0.0], &[0.5, 3.0]]).unwrap();
-        let chol = crate::cholesky::solve_spd(&a, &b).unwrap();
+        let chol = crate::cholesky::Cholesky::factor(&a)
+            .unwrap()
+            .solve(&b)
+            .unwrap();
         let x = Svd::factor(&a).unwrap().solve(&b).unwrap();
         for i in 0..3 {
             for j in 0..2 {

@@ -4,8 +4,8 @@ use dfr_linalg::activation::{cross_entropy_from_logits, log_sum_exp, softmax};
 use dfr_linalg::cholesky::Cholesky;
 use dfr_linalg::gemm::{K_BLOCK, MR, NR};
 use dfr_linalg::kernels::{available, with_kernel, KernelKind};
-use dfr_linalg::ridge::{ridge_fit_with, RidgeMode, RidgePlan};
-use dfr_linalg::solver::{SolverKind, SolverPolicy, RCOND_MIN};
+use dfr_linalg::ridge::{RidgeMode, RidgePlan};
+use dfr_linalg::solver::{with_solver, SolverKind, SolverPolicy, RCOND_MIN};
 use dfr_linalg::svd::Svd;
 use dfr_linalg::{dot, GemmWorkspace, LinalgError, Matrix};
 use proptest::prelude::*;
@@ -77,8 +77,8 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
 /// the MR×NR tile (`1..=2·MR+1` × `1..=2·NR+1`) crossed with `k` around
 /// the packing block (`1, K_BLOCK−1, K_BLOCK, K_BLOCK+1`), all five
 /// product kernels, checked **bitwise** against the naive `i-k-j`
-/// reference through both the thread-local and the caller-owned workspace
-/// paths (one workspace recycled across every shape, proving stale
+/// reference through both the allocating and the caller-owned workspace
+/// forms (one workspace recycled across every shape, proving stale
 /// packing state never leaks).
 #[test]
 fn packed_products_match_naive_reference_on_ragged_edges() {
@@ -91,16 +91,16 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
                 let b = filled(k, n, 1.7);
                 let want = naive_matmul(&a, &b);
                 assert_bits_eq(&a.matmul(&b).unwrap(), &want, "matmul");
-                a.matmul_into_ws(&b, &mut out, &mut ws).unwrap();
-                assert_bits_eq(&out, &want, "matmul_into_ws");
+                a.matmul_into(&b, &mut out, &mut ws).unwrap();
+                assert_bits_eq(&out, &want, "matmul_into");
 
                 let at = a.transpose();
-                at.t_matmul_into_ws(&b, &mut out, &mut ws).unwrap();
-                assert_bits_eq(&out, &want, "t_matmul_into_ws");
+                at.t_matmul_into(&b, &mut out, &mut ws).unwrap();
+                assert_bits_eq(&out, &want, "t_matmul_into");
 
                 let bt = b.transpose();
-                a.matmul_t_into_ws(&bt, &mut out, &mut ws).unwrap();
-                assert_bits_eq(&out, &want, "matmul_t_into_ws");
+                a.matmul_t_into(&bt, &mut out, &mut ws).unwrap();
+                assert_bits_eq(&out, &want, "matmul_t_into");
 
                 // Gram kernels: square symmetric references. The naive
                 // reference computes only the lower triangle (dot per
@@ -108,12 +108,12 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
                 // and mirrors — exactly the documented contract.
                 let x = filled(m, k, 2.9);
                 let want_gram = naive_matmul(&x, &x.transpose());
-                x.gram_into_ws(&mut out, &mut ws);
-                assert_bits_eq(&out, &want_gram, "gram_into_ws");
+                x.gram_into(&mut out, &mut ws);
+                assert_bits_eq(&out, &want_gram, "gram_into");
 
                 let want_gram_t = naive_matmul(&x.transpose(), &x);
-                x.gram_t_into_ws(&mut out, &mut ws);
-                assert_bits_eq(&out, &want_gram_t, "gram_t_into_ws");
+                x.gram_t_into(&mut out, &mut ws);
+                assert_bits_eq(&out, &want_gram_t, "gram_t_into");
             }
         }
     }
@@ -124,13 +124,14 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
 /// pinned against the naive `i-k-j` reference above) over output dims
 /// `1..=9 × 1..=17` crossed with `k ∈ {1, 63, 64, 65}` — small enough to
 /// exercise every ragged-tile mask, with `k` straddling the `K_BLOCK`
-/// boundary. One shared workspace per kernel is recycled across every
-/// shape, so stale panels from another kernel's run can never leak
-/// (the keyed thread-local fallback is exercised by the `_into` forms).
+/// boundary. **One** workspace is recycled across every shape and every
+/// kernel: all kernels read the same `MR × NR` panel layout, so panels
+/// packed under one kernel are valid input to any other.
 #[test]
 fn products_bit_identical_across_all_kernels() {
     let kernels = available();
     assert!(!kernels.is_empty());
+    let mut ws = GemmWorkspace::new();
     let mut out = Matrix::zeros(0, 0);
     for m in 1..=9usize {
         for n in 1..=17usize {
@@ -150,15 +151,15 @@ fn products_bit_identical_across_all_kernels() {
                 for kernel in &kernels {
                     with_kernel(kernel.kind(), || {
                         let name = kernel.name();
-                        a.matmul_into(&b, &mut out).unwrap();
+                        a.matmul_into(&b, &mut out, &mut ws).unwrap();
                         assert_bits_eq(&out, &reference.0, &format!("{name} matmul {m}x{k}x{n}"));
-                        a.transpose().t_matmul_into(&b, &mut out).unwrap();
+                        a.transpose().t_matmul_into(&b, &mut out, &mut ws).unwrap();
                         assert_bits_eq(&out, &reference.1, &format!("{name} t_matmul {m}x{k}x{n}"));
-                        a.matmul_t_into(&b.transpose(), &mut out).unwrap();
+                        a.matmul_t_into(&b.transpose(), &mut out, &mut ws).unwrap();
                         assert_bits_eq(&out, &reference.2, &format!("{name} matmul_t {m}x{k}x{n}"));
-                        x.gram_into(&mut out);
+                        x.gram_into(&mut out, &mut ws);
                         assert_bits_eq(&out, &reference.3, &format!("{name} gram {m}x{k}"));
-                        x.gram_t_into(&mut out);
+                        x.gram_t_into(&mut out, &mut ws);
                         assert_bits_eq(&out, &reference.4, &format!("{name} gram_t {m}x{k}"));
                     });
                 }
@@ -252,7 +253,8 @@ proptest! {
                                  b in proptest::collection::vec(-5.0_f64..5.0, 4)) {
         let mut a = m.matmul_t(&m).unwrap();
         for i in 0..4 { a[(i, i)] += 1.0; }
-        let x = Cholesky::factor(&a).unwrap().solve_vec(&b).unwrap();
+        let mut x = b.clone();
+        Cholesky::factor(&a).unwrap().solve_vec_in_place(&mut x).unwrap();
         let back = a.matvec(&x).unwrap();
         for (got, want) in back.iter().zip(&b) {
             prop_assert!((got - want).abs() < 1e-7);
@@ -262,8 +264,8 @@ proptest! {
     #[test]
     fn ridge_primal_equals_dual(x in matrix(6, 4), y in matrix(6, 2),
                                 beta in 1e-4_f64..10.0) {
-        let wp = ridge_fit_with(&x, &y, beta, RidgeMode::Primal).unwrap();
-        let wd = ridge_fit_with(&x, &y, beta, RidgeMode::Dual).unwrap();
+        let wp = RidgePlan::with_mode(&x, &y, RidgeMode::Primal).unwrap().solve(beta).unwrap();
+        let wd = RidgePlan::with_mode(&x, &y, RidgeMode::Dual).unwrap().solve(beta).unwrap();
         for (a, b) in wp.as_slice().iter().zip(wd.as_slice()) {
             prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
@@ -284,7 +286,7 @@ proptest! {
                     let mut plan = RidgePlan::with_mode(&x, &y, mode).unwrap();
                     for &beta in &[b1, b2] {
                         plan.solve_into(beta, &mut w).unwrap();
-                        let standalone = ridge_fit_with(&x, &y, beta, mode).unwrap();
+                        let standalone = RidgePlan::with_mode(&x, &y, mode).unwrap().solve(beta).unwrap();
                         assert_eq!(w.shape(), standalone.shape());
                         for (a, b) in w.as_slice().iter().zip(standalone.as_slice()) {
                             assert_eq!(a.to_bits(), b.to_bits(),
@@ -421,7 +423,7 @@ proptest! {
         let y = x.matmul(&tm).unwrap();
         let mut plan = RidgePlan::with_mode(&x, &y, RidgeMode::Primal).unwrap();
         let mut w = Matrix::zeros(0, 0);
-        plan.solve_into_with(0.0, &mut w, SolverPolicy::Auto).unwrap();
+        with_solver(SolverPolicy::Auto, || plan.solve_into(0.0, &mut w)).unwrap();
         prop_assert!(w.as_slice().iter().all(|v| v.is_finite()));
 
         let report = plan.last_report();
@@ -451,11 +453,12 @@ proptest! {
     ) {
         let mut plan = RidgePlan::with_mode(&x, &y, RidgeMode::Primal).unwrap();
         let mut reference = Matrix::zeros(0, 0);
-        plan.solve_into_with(beta, &mut reference,
-            SolverPolicy::Fixed(SolverKind::Cholesky)).unwrap();
+        with_solver(SolverPolicy::Fixed(SolverKind::Cholesky), || {
+            plan.solve_into(beta, &mut reference)
+        }).unwrap();
 
         let mut w = Matrix::zeros(0, 0);
-        plan.solve_into_with(beta, &mut w, SolverPolicy::Auto).unwrap();
+        with_solver(SolverPolicy::Auto, || plan.solve_into(beta, &mut w)).unwrap();
         for (a, b) in w.as_slice().iter().zip(reference.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "auto diverged from cholesky");
         }
@@ -466,7 +469,7 @@ proptest! {
         prop_assert!(rcond > RCOND_MIN && rcond <= 1.0, "rcond {rcond:e}");
 
         for kind in [SolverKind::Qr, SolverKind::Svd] {
-            plan.solve_into_with(beta, &mut w, SolverPolicy::Fixed(kind)).unwrap();
+            with_solver(SolverPolicy::Fixed(kind), || plan.solve_into(beta, &mut w)).unwrap();
             for (a, b) in w.as_slice().iter().zip(reference.as_slice()) {
                 prop_assert!((a - b).abs() <= 1e-7 * (1.0 + b.abs()),
                     "{kind:?}: {a} vs {b}");
@@ -488,7 +491,7 @@ proptest! {
         let rhs = x.t_matmul(&y).unwrap();
         let mut svd = Svd::factor(&gram).unwrap();
         prop_assert!(svd.rank() < 5,
-            "exact dependence must lose rank: σ = {:?}", svd.sigma());
+            "exact dependence must lose rank: rcond = {}", svd.rcond());
         let w = svd.solve(&rhs).unwrap();
         let norm = |m: &Matrix| m.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt();
         // `t` also solves the consistent normal equations, so the
@@ -532,7 +535,7 @@ proptest! {
         bad[(poison_row, poison_col)] = if use_nan { f64::NAN } else { f64::INFINITY };
         let mut plan = RidgePlan::with_mode(&bad, &y, RidgeMode::Primal).unwrap();
         let mut w = Matrix::zeros(0, 0);
-        let err = plan.solve_into_with(1e-2, &mut w, SolverPolicy::Auto).unwrap_err();
+        let err = with_solver(SolverPolicy::Auto, || plan.solve_into(1e-2, &mut w)).unwrap_err();
         prop_assert!(matches!(err, LinalgError::NonFinite { .. }), "{err:?}");
         let report = plan.last_report();
         prop_assert!(!report.is_ok(), "{report:?}");

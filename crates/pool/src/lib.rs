@@ -18,7 +18,7 @@
 //! * [`par_map_collect`] writes each result into the slot of its input
 //!   index, so collection order equals input order regardless of which
 //!   thread finished first;
-//! * [`par_try_map_collect`] reports the error of the *lowest input index*,
+//! * [`par_try_map_collect_with`] reports the error of the *lowest input index*,
 //!   not the first to fail in wall-clock order;
 //! * there is no concurrent accumulation: reductions happen in the caller,
 //!   over the ordered results.
@@ -168,12 +168,6 @@ pub fn with_threads_opt<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Whether the current thread is a pool worker (parallel regions here run
-/// serially instead of nesting).
-pub fn in_worker() -> bool {
-    WORKER_DEPTH.with(Cell::get) > 0
-}
-
 /// Thread count a region with `items` independent pieces of work will
 /// actually fan out to: 1 when nested inside a worker, otherwise
 /// `max_threads()` capped by `items`.
@@ -239,7 +233,7 @@ where
 /// Panics if any worker panics: [`std::thread::scope`] joins every worker
 /// and then re-raises, so no work is silently dropped — but the original
 /// payload is not preserved and no cross-worker ordering is guaranteed.
-/// Use [`par_try_map_collect`] where the failure itself must be
+/// Use [`par_try_map_collect_with`] where the failure itself must be
 /// deterministic.
 ///
 /// # Example
@@ -333,8 +327,8 @@ where
         .collect()
 }
 
-/// Fallible [`par_map_collect`]: returns the results in input order, or the
-/// error of the **lowest input index** that failed.
+/// Fallible [`par_map_collect_with`]: returns the results in input order,
+/// or the error of the **lowest input index** that failed.
 ///
 /// All items are evaluated even when one fails early (errors on these paths
 /// are rare and terminal); what the contract buys is that the *reported*
@@ -348,27 +342,11 @@ where
 ///
 /// ```
 /// let r: Result<Vec<u32>, String> =
-///     dfr_pool::par_try_map_collect(&[1u32, 0, 0], |i, &x| {
+///     dfr_pool::par_try_map_collect_with(&[1u32, 0, 0], || (), |i, &x, ()| {
 ///         if x == 0 { Err(format!("zero at {i}")) } else { Ok(x) }
 ///     });
 /// assert_eq!(r.unwrap_err(), "zero at 1");
 /// ```
-pub fn par_try_map_collect<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_collect(items, f).into_iter().collect()
-}
-
-/// Fallible [`par_map_collect_with`]: per-worker scratch plus the
-/// lowest-failing-index error contract of [`par_try_map_collect`].
-///
-/// # Errors
-///
-/// The error produced by `f` at the lowest failing index.
 pub fn par_try_map_collect_with<T, R, E, S, I, F>(items: &[T], init: I, f: F) -> Result<Vec<R>, E>
 where
     T: Sync,
@@ -459,7 +437,7 @@ where
 /// Fallible [`par_chunks_mut_with`]: every chunk is processed (errors are
 /// rare and terminal on these paths), then the error of the **lowest chunk
 /// index** that failed is reported — the same deterministic-failure
-/// contract as [`par_try_map_collect`]. Chunks whose kernel failed hold
+/// contract as [`par_try_map_collect_with`]. Chunks whose kernel failed hold
 /// whatever the kernel wrote before failing.
 ///
 /// # Errors
@@ -566,7 +544,7 @@ where
 /// Fallible [`par_parts_mut`] with **caller-owned per-part state**: part
 /// `i` of `data` is processed as `f(i, part, &mut states[i])`, each part on
 /// its own worker (the first non-empty part inline on the caller). Errors
-/// follow the lowest-part-index contract of [`par_try_map_collect`].
+/// follow the lowest-part-index contract of [`par_try_map_collect_with`].
 ///
 /// This is the batch fan-out primitive of the serving layer: unlike the
 /// `_with` variants, whose `init` closure rebuilds scratch at every
@@ -729,6 +707,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Whether the current thread is a pool worker.
+    fn in_worker() -> bool {
+        WORKER_DEPTH.with(Cell::get) > 0
+    }
+
     #[test]
     fn map_collect_preserves_input_order() {
         let items: Vec<usize> = (0..1000).collect();
@@ -752,20 +735,10 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reports_lowest_index_error() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 4, 8] {
-            let r: Result<Vec<usize>, usize> = with_threads(threads, || {
-                par_try_map_collect(&items, |i, _| if i % 7 == 3 { Err(i) } else { Ok(i) })
-            });
-            assert_eq!(r.unwrap_err(), 3, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn try_map_ok_roundtrip() {
         let items = [1u32, 2, 3];
-        let r: Result<Vec<u32>, ()> = par_try_map_collect(&items, |_, &x| Ok(x + 1));
+        let r: Result<Vec<u32>, ()> =
+            par_try_map_collect_with(&items, || (), |_, &x, ()| Ok(x + 1));
         assert_eq!(r.unwrap(), vec![2, 3, 4]);
     }
 
@@ -872,7 +845,7 @@ mod tests {
     #[test]
     fn try_map_with_reports_lowest_index_error() {
         let items: Vec<usize> = (0..40).collect();
-        for threads in [1, 4] {
+        for threads in [1, 4, 8] {
             let r: Result<Vec<usize>, usize> = with_threads(threads, || {
                 par_try_map_collect_with(
                     &items,

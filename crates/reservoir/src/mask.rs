@@ -8,7 +8,7 @@
 //! (not trained) in the paper; the `dfr-core` crate offers mask gradients as
 //! an extension.
 
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,13 +89,15 @@ impl Mask {
     /// first.
     pub fn apply(&self, series: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.apply_into(series, &mut out);
+        self.apply_into(series, &mut out, &mut GemmWorkspace::new());
         out
     }
 
     /// [`Mask::apply`] writing into a caller-owned matrix (resized to
-    /// `T x N_x`, allocation reused) — the allocation-free form the
-    /// reservoir's `run_into` path uses.
+    /// `T x N_x`, allocation reused) and packing into a caller-owned
+    /// [`GemmWorkspace`] — the allocation-free form the reservoir's
+    /// `run_into` path uses, with the workspace its [`crate::ReservoirRun`]
+    /// owns.
     ///
     /// The product `J = U · Mᵀ` runs through the register-tiled GEMM
     /// microkernel of [`dfr_linalg::gemm`] (per element a `k`-ascending
@@ -109,7 +111,7 @@ impl Mask {
     /// Panics if `series.cols() != self.channels()`; the reservoir wrappers
     /// validate this and return [`crate::ReservoirError::ChannelMismatch`]
     /// first.
-    pub fn apply_into(&self, series: &Matrix, out: &mut Matrix) {
+    pub fn apply_into(&self, series: &Matrix, out: &mut Matrix, ws: &mut GemmWorkspace) {
         assert_eq!(
             series.cols(),
             self.channels(),
@@ -118,7 +120,7 @@ impl Mask {
             series.cols()
         );
         series
-            .matmul_t_into(&self.matrix, out)
+            .matmul_t_into(&self.matrix, out, ws)
             .expect("channel count checked above");
     }
 }

@@ -17,7 +17,7 @@
 use crate::mask::Mask;
 use crate::nonlinearity::{Linear, Nonlinearity};
 use crate::ReservoirError;
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 
 /// States beyond this magnitude are treated as divergence.
 ///
@@ -129,20 +129,6 @@ impl<N: Nonlinearity> ModularDfr<N> {
         Ok(())
     }
 
-    /// Returns a copy with different `(A, B)` — convenient for grid search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReservoirError::InvalidParameter`] for non-finite values.
-    pub fn with_params(&self, a: f64, b: f64) -> Result<Self, ReservoirError>
-    where
-        N: Clone,
-    {
-        let mut copy = self.clone();
-        copy.set_params(a, b)?;
-        Ok(copy)
-    }
-
     /// The input mask.
     pub fn mask(&self) -> &Mask {
         &self.mask
@@ -161,15 +147,6 @@ impl<N: Nonlinearity> ModularDfr<N> {
     /// Number of virtual nodes `N_x`.
     pub fn nodes(&self) -> usize {
         self.mask.nodes()
-    }
-
-    /// `|A|·sup|f′| + |B|` when the nonlinearity has a known Lipschitz
-    /// bound; values `< 1` guarantee a bounded (fading-memory) reservoir for
-    /// bounded inputs.
-    pub fn stability_bound(&self) -> Option<f64> {
-        self.nonlinearity
-            .lipschitz_bound()
-            .map(|l| self.a.abs() * l + self.b.abs())
     }
 
     /// Runs the reservoir over a `T × C` input series.
@@ -206,43 +183,23 @@ impl<N: Nonlinearity> ModularDfr<N> {
                 input_channels: series.cols(),
             });
         }
-        self.mask.apply_into(series, &mut run.masked);
+        self.mask.apply_into(series, &mut run.masked, &mut run.gemm);
         run.states.resize(run.masked.rows(), self.nodes());
         self.drive(&run.masked, &mut run.states)
     }
 
-    /// Runs the reservoir on an already-masked `T × N_x` drive.
-    ///
-    /// Exposed so the trainer can reuse the masked input across epochs (the
-    /// mask is fixed; only `A`/`B` change).
+    /// Runs the reservoir on an already-masked `T × N_x` drive, writing
+    /// into a caller-owned [`ReservoirRun`] (the drive is copied into the
+    /// run's reused buffer, since backpropagation reads it later). This is
+    /// the trainer's per-sample fast path: the mask is fixed, so the
+    /// epoch-invariant masked inputs stay cached and every forward pass
+    /// recycles one run.
     ///
     /// # Errors
     ///
     /// * [`ReservoirError::ChannelMismatch`] if `masked.cols() != N_x`.
-    /// * [`ReservoirError::Diverged`] if any state becomes non-finite.
-    pub fn run_masked(&self, masked: Matrix) -> Result<ReservoirRun, ReservoirError> {
-        let nx = self.nodes();
-        if masked.cols() != nx {
-            return Err(ReservoirError::ChannelMismatch {
-                mask_channels: nx,
-                input_channels: masked.cols(),
-            });
-        }
-        let mut states = Matrix::zeros(masked.rows(), nx);
-        self.drive(&masked, &mut states)?;
-        Ok(ReservoirRun { masked, states })
-    }
-
-    /// [`ModularDfr::run_masked`] borrowing the masked drive and writing
-    /// into a caller-owned [`ReservoirRun`] (the drive is copied into the
-    /// run's reused buffer, since backpropagation reads it later). This is
-    /// the trainer's per-sample fast path: the epoch-invariant masked
-    /// inputs stay cached and every forward pass recycles one run.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModularDfr::run_masked`]; on error the run's contents are
-    /// unspecified.
+    /// * [`ReservoirError::Diverged`] if any state becomes non-finite; the
+    ///   run's contents are then unspecified.
     pub fn run_masked_into(
         &self,
         masked: &Matrix,
@@ -298,6 +255,8 @@ impl<N: Nonlinearity> ModularDfr<N> {
 pub struct ReservoirRun {
     masked: Matrix,
     states: Matrix,
+    /// Packing buffers of the mask product in [`ModularDfr::run_into`].
+    gemm: GemmWorkspace,
 }
 
 impl Default for ReservoirRun {
@@ -313,6 +272,7 @@ impl ReservoirRun {
         ReservoirRun {
             masked: Matrix::zeros(0, 0),
             states: Matrix::zeros(0, 0),
+            gemm: GemmWorkspace::new(),
         }
     }
 
@@ -342,32 +302,12 @@ impl ReservoirRun {
         self.states.cols()
     }
 
-    /// Value of the chain predecessor `x(k)_{n−1}` (0-based `k`, `n`),
-    /// wrapping to the last node of the previous step for `n = 0` and to
-    /// zero before the first step — exactly the `B`-path input of Eq. 13.
-    pub fn chain_predecessor(&self, k: usize, n: usize) -> f64 {
-        if n > 0 {
-            self.states[(k, n - 1)]
-        } else if k > 0 {
-            self.states[(k - 1, self.nodes() - 1)]
-        } else {
-            0.0
-        }
-    }
-
-    /// Value of the delayed input `x(k−1)_n` (0-based `k`, `n`), zero
-    /// before the first step — the `f`-path feedback of Eq. 13.
-    pub fn delayed_feedback(&self, k: usize, n: usize) -> f64 {
-        if k > 0 {
-            self.states[(k - 1, n)]
-        } else {
-            0.0
-        }
-    }
-
-    /// The pre-activation `z(k)_n = j(k)_n + x(k−1)_n` fed to `f`.
+    /// The pre-activation `z(k)_n = j(k)_n + x(k−1)_n` fed to `f`
+    /// (0-based `k`, `n`; the delayed input `x(k−1)_n` is zero before the
+    /// first step — the `f`-path feedback of Eq. 13).
     pub fn preactivation(&self, k: usize, n: usize) -> f64 {
-        self.masked[(k, n)] + self.delayed_feedback(k, n)
+        let delayed = if k > 0 { self.states[(k - 1, n)] } else { 0.0 };
+        self.masked[(k, n)] + delayed
     }
 }
 
@@ -378,6 +318,19 @@ mod tests {
 
     fn constant_series(t: usize, c: usize) -> Matrix {
         Matrix::filled(t, c, 1.0)
+    }
+
+    /// The chain predecessor `x(k)_{n−1}` (0-based `k`, `n`), wrapping to
+    /// the last node of the previous step for `n = 0` and to zero before
+    /// the first step — exactly the `B`-path input of Eq. 13.
+    fn chain_predecessor(run: &ReservoirRun, k: usize, n: usize) -> f64 {
+        if n > 0 {
+            run.states()[(k, n - 1)]
+        } else if k > 0 {
+            run.states()[(k - 1, run.nodes() - 1)]
+        } else {
+            0.0
+        }
     }
 
     #[test]
@@ -418,9 +371,9 @@ mod tests {
         let dfr = ModularDfr::linear(Mask::binary(3, 1, 1), 0.1, 0.5).unwrap();
         let run = dfr.run(&constant_series(4, 1)).unwrap();
         // The predecessor of node 0 at step k>0 is node Nx−1 at step k−1.
-        assert_eq!(run.chain_predecessor(2, 0), run.states()[(1, 2)]);
-        assert_eq!(run.chain_predecessor(0, 0), 0.0);
-        assert_eq!(run.chain_predecessor(1, 2), run.states()[(1, 1)]);
+        assert_eq!(chain_predecessor(&run, 2, 0), run.states()[(1, 2)]);
+        assert_eq!(chain_predecessor(&run, 0, 0), 0.0);
+        assert_eq!(chain_predecessor(&run, 1, 2), run.states()[(1, 1)]);
     }
 
     #[test]
@@ -440,7 +393,6 @@ mod tests {
     #[test]
     fn contractive_params_stay_bounded() {
         let dfr = ModularDfr::new(Mask::binary(8, 1, 3), 0.4, 0.5, Tanh).unwrap();
-        assert!(dfr.stability_bound().unwrap() < 1.0);
         let run = dfr.run(&constant_series(500, 1)).unwrap();
         // Geometric bound: |s| ≤ |A|·max|f| / (1 − |B|) for tanh (|f| ≤ 1).
         let bound = 0.4 / (1.0 - 0.5) + 1e-9;
@@ -454,15 +406,6 @@ mod tests {
         let big = Matrix::filled(400, 1, 1e300);
         let err = dfr.run(&big).unwrap_err();
         assert!(matches!(err, ReservoirError::Diverged { .. }));
-    }
-
-    #[test]
-    fn run_masked_matches_run() {
-        let dfr = ModularDfr::linear(Mask::binary(6, 2, 5), 0.2, 0.3).unwrap();
-        let series = constant_series(10, 2);
-        let via_run = dfr.run(&series).unwrap();
-        let via_masked = dfr.run_masked(dfr.mask().apply(&series)).unwrap();
-        assert_eq!(via_run, via_masked);
     }
 
     #[test]
@@ -504,18 +447,9 @@ mod tests {
         // x(k)_n = A·f(z(k)_n) + B·chain_predecessor — reconstruct and compare.
         for k in 0..run.len() {
             for n in 0..run.nodes() {
-                let rebuilt = 0.3 * run.preactivation(k, n) + 0.2 * run.chain_predecessor(k, n);
+                let rebuilt = 0.3 * run.preactivation(k, n) + 0.2 * chain_predecessor(&run, k, n);
                 assert!((rebuilt - run.states()[(k, n)]).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn with_params_changes_only_params() {
-        let dfr = ModularDfr::linear(Mask::binary(4, 1, 0), 0.1, 0.2).unwrap();
-        let other = dfr.with_params(0.5, 0.6).unwrap();
-        assert_eq!(other.a(), 0.5);
-        assert_eq!(other.b(), 0.6);
-        assert_eq!(other.mask(), dfr.mask());
     }
 }

@@ -23,15 +23,6 @@ pub trait Nonlinearity: Debug + Send + Sync {
 
     /// Short display name for reports.
     fn name(&self) -> &'static str;
-
-    /// An upper bound on `|f′|` over the whole real line, when one exists.
-    ///
-    /// Used for reservoir stability checks (`|A|·sup|f′| + |B| < 1` implies
-    /// a bounded, fading-memory reservoir). The default is `None`
-    /// (unknown/unbounded).
-    fn lipschitz_bound(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// The identity `f(z) = z` — the paper's evaluation setting
@@ -50,10 +41,6 @@ impl Nonlinearity for Linear {
 
     fn name(&self) -> &'static str {
         "linear"
-    }
-
-    fn lipschitz_bound(&self) -> Option<f64> {
-        Some(1.0)
     }
 }
 
@@ -76,11 +63,6 @@ impl MackeyGlass {
     /// Creates the fraction with exponent `p` (commonly 1–10).
     pub fn new(p: u32) -> Self {
         MackeyGlass { p }
-    }
-
-    /// The exponent `p`.
-    pub fn exponent(&self) -> u32 {
-        self.p
     }
 }
 
@@ -137,10 +119,6 @@ impl Nonlinearity for Tanh {
     fn name(&self) -> &'static str {
         "tanh"
     }
-
-    fn lipschitz_bound(&self) -> Option<f64> {
-        Some(1.0)
-    }
 }
 
 /// Sine `f(z) = sin(z)` — used in optoelectronic DFR implementations
@@ -159,10 +137,6 @@ impl Nonlinearity for Sin {
 
     fn name(&self) -> &'static str {
         "sin"
-    }
-
-    fn lipschitz_bound(&self) -> Option<f64> {
-        Some(1.0)
     }
 }
 

@@ -105,9 +105,8 @@ impl ServeSessionBuilder {
 /// [`DfrClassifier::predict`](dfr_core::DfrClassifier::predict) at every
 /// thread count and batch size (`DESIGN.md` §11).
 ///
-/// The model is held behind an [`Arc`] so a registry can retain it and
-/// [`ServeSession::swap_model`] can replace it under live traffic without
-/// copying parameters; the warm workspaces survive the swap.
+/// The model is held behind an [`Arc`] so a registry can share it with
+/// the session without copying parameters.
 #[derive(Debug, Clone)]
 pub struct ServeSession {
     model: Arc<FrozenModel>,
@@ -155,17 +154,6 @@ impl ServeSession {
     pub fn reset(&mut self) {
         self.state = ServeState::new();
         self.one = ServeWorkspace::new();
-    }
-
-    /// Replaces the served model, returning the previous one — the
-    /// hot-swap primitive: the next predict call serves the new parameters
-    /// while the warm workspaces (whose shapes depend only on the
-    /// workload, not the parameters) are kept.
-    ///
-    /// Models with different dimensions are fine too: buffers re-size
-    /// lazily on the next call.
-    pub fn swap_model(&mut self, model: Arc<FrozenModel>) -> Arc<FrozenModel> {
-        std::mem::replace(&mut self.model, model)
     }
 
     /// Predicts a whole batch of series, in input order.
@@ -428,31 +416,6 @@ mod tests {
         let ambient = ServeSessionBuilder::shared(Arc::new(frozen)).build();
         assert_eq!(ambient.threads(), None);
         assert_eq!(ambient.plan(), &BatchPlan::default());
-    }
-
-    #[test]
-    fn swap_model_serves_new_parameters_with_warm_buffers() {
-        let m1 = model();
-        let mut m2 = model();
-        m2.w_out_mut()[(0, 3)] += 0.5; // different readout → different model
-        let f1 = FrozenModel::freeze(&m1);
-        let f2 = Arc::new(FrozenModel::freeze(&m2));
-        let series = workload(9);
-
-        let mut session = ServeSession::builder(f1.clone()).max_batch(4).build();
-        session.predict_batch(&series).unwrap(); // warm on the old model
-        let old = session.swap_model(Arc::clone(&f2));
-        assert_eq!(old.content_digest(), f1.content_digest());
-        assert_eq!(session.digest(), f2.content_digest());
-
-        let mut fresh = ServeSession::builder((*f2).clone()).max_batch(4).build();
-        let served: Vec<usize> = session
-            .predict_batch(&series)
-            .unwrap()
-            .predictions()
-            .to_vec();
-        let expected = fresh.predict_batch(&series).unwrap();
-        assert_eq!(served, expected.predictions());
     }
 
     #[test]

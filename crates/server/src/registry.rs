@@ -53,21 +53,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Registers `model` without activating it, returning its digest.
-    /// Re-registering an identical model is a no-op (same digest, same
-    /// bytes).
-    pub fn register(&self, model: FrozenModel) -> u64 {
-        let model = Arc::new(model);
-        let digest = model.content_digest();
-        self.inner
-            .write()
-            .unwrap()
-            .models
-            .entry(digest)
-            .or_insert(model);
-        digest
-    }
-
     /// Registers `model` **and** makes it the active model, atomically —
     /// the hot-swap entry point for a freshly retrained model. Returns
     /// its digest.
@@ -115,20 +100,6 @@ impl ModelRegistry {
     /// Looks up a model by digest.
     pub fn get(&self, digest: u64) -> Option<Arc<FrozenModel>> {
         self.inner.read().unwrap().models.get(&digest).cloned()
-    }
-
-    /// Resolves a request's digest pin: 0 means "the active model",
-    /// anything else must be registered.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownDigest`] for an unregistered non-zero pin.
-    pub fn resolve(&self, digest_pin: u64) -> Result<Arc<FrozenModel>, ServerError> {
-        if digest_pin == 0 {
-            return Ok(self.active());
-        }
-        self.get(digest_pin)
-            .ok_or(ServerError::UnknownDigest { digest: digest_pin })
     }
 
     /// Whether a model is registered under `digest`.
@@ -373,26 +344,25 @@ mod tests {
 
         let reg = ModelRegistry::new(a);
         assert_eq!(reg.active_digest(), da);
-        assert_eq!(reg.resolve(0).unwrap().content_digest(), da);
+        assert_eq!(reg.active().content_digest(), da);
 
         assert_eq!(reg.publish(b), db);
         assert_eq!(reg.active_digest(), db);
-        assert_eq!(reg.resolve(0).unwrap().content_digest(), db);
+        assert_eq!(reg.active().content_digest(), db);
         // The old model stays resolvable for digest-pinned clients.
-        assert_eq!(reg.resolve(da).unwrap().content_digest(), da);
+        assert_eq!(reg.get(da).unwrap().content_digest(), da);
         assert_eq!(reg.digests().len(), 2);
     }
 
     #[test]
-    fn register_does_not_activate_and_activate_requires_registration() {
+    fn activate_requires_registration() {
         let a = frozen(0.1);
         let b = frozen(0.2);
         let (da, db) = (a.content_digest(), b.content_digest());
         let reg = ModelRegistry::new(a);
-        assert_eq!(reg.register(b), db);
-        assert_eq!(reg.active_digest(), da, "register must not activate");
-        reg.activate(db).unwrap();
-        assert_eq!(reg.active_digest(), db);
+        assert_eq!(reg.publish(b), db);
+        reg.activate(da).unwrap();
+        assert_eq!(reg.active_digest(), da);
         assert!(matches!(
             reg.activate(0xdead),
             Err(ServerError::UnknownDigest { digest: 0xdead })
@@ -400,15 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_pins_and_rejects_unknown_digests() {
+    fn lookups_pin_and_reject_unknown_digests() {
         let a = frozen(0.3);
         let da = a.content_digest();
         let reg = ModelRegistry::new(a);
-        assert_eq!(reg.resolve(da).unwrap().content_digest(), da);
-        assert!(matches!(
-            reg.resolve(42),
-            Err(ServerError::UnknownDigest { digest: 42 })
-        ));
+        assert_eq!(reg.get(da).unwrap().content_digest(), da);
         assert!(reg.contains(da));
         assert!(!reg.contains(42));
         assert!(reg.get(42).is_none());
@@ -467,8 +433,7 @@ mod tests {
         let b = frozen(0.2);
         let (da, db) = (a.content_digest(), b.content_digest());
         let reg = ModelRegistry::new(a);
-        reg.register(b);
-        reg.activate(db).unwrap();
+        reg.publish(b);
 
         let report = reg.persist_to(scratch.path()).unwrap();
         let mut expected = vec![da, db];
@@ -496,7 +461,8 @@ mod tests {
         let b = frozen(0.2);
         let (da, db) = (a.content_digest(), b.content_digest());
         let reg = ModelRegistry::new(a);
-        reg.register(b);
+        reg.publish(b);
+        reg.activate(da).unwrap();
         reg.persist_to(scratch.path()).unwrap();
 
         // Flip one payload byte of b's file: its digest trailer no

@@ -82,7 +82,8 @@ fn training_is_deterministic_across_runs() {
     let a = train(&ds, &small_options()).expect("run a");
     let b = train(&ds, &small_options()).expect("run b");
     assert_eq!(a.test_accuracy, b.test_accuracy);
-    assert_eq!(a.reservoir_params(), b.reservoir_params());
+    assert_eq!(a.model.reservoir().a(), b.model.reservoir().a());
+    assert_eq!(a.model.reservoir().b(), b.model.reservoir().b());
     assert_eq!(a.beta, b.beta);
 }
 
