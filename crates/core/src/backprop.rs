@@ -81,17 +81,6 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Largest absolute gradient component (for clipping / diagnostics).
-    pub fn max_abs(&self) -> f64 {
-        let mut m = self.a.abs().max(self.b.abs());
-        m = m.max(self.w_out.max_abs());
-        m = self.bias.iter().fold(m, |acc, g| acc.max(g.abs()));
-        if let Some(mask) = &self.mask {
-            m = m.max(mask.max_abs());
-        }
-        m
-    }
-
     /// Whether every component is finite.
     pub fn is_finite(&self) -> bool {
         self.a.is_finite()
@@ -102,19 +91,6 @@ impl Gradients {
                 .mask
                 .as_ref()
                 .map_or(true, |m| m.as_slice().iter().all(|g| g.is_finite()))
-    }
-
-    /// Scales every component in place (used by gradient clipping).
-    pub fn scale(&mut self, factor: f64) {
-        self.a *= factor;
-        self.b *= factor;
-        self.w_out.scale(factor);
-        for g in &mut self.bias {
-            *g *= factor;
-        }
-        if let Some(mask) = &mut self.mask {
-            mask.scale(factor);
-        }
     }
 }
 
@@ -694,9 +670,8 @@ mod tests {
         let cache = m.forward(&u).unwrap();
         let (_, mut g) = backprop(&m, &u, &cache, &d, &BackpropOptions::default()).unwrap();
         assert!(g.is_finite());
-        let before = g.max_abs();
-        g.scale(0.5);
-        assert!((g.max_abs() - before * 0.5).abs() < 1e-12);
+        g.w_out[(0, 0)] = f64::NAN;
+        assert!(!g.is_finite());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   landscape of Fig. 6 and the recursive-refinement variant the paper
 //!   argues against).
 //! * [`memory`] — the closed-form storage model behind Table 2.
-//! * [`metrics`] — accuracy and confusion matrices.
+//! * [`metrics`] — confusion matrices.
 //! * [`workspace`] — reusable training workspaces: the SGD hot path runs
 //!   allocation-free after warm-up (`DESIGN.md` §9).
 //!

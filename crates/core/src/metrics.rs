@@ -1,31 +1,5 @@
 //! Classification metrics.
 
-/// Fraction of matching prediction/label pairs.
-///
-/// Returns `0.0` for empty inputs.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(dfr_core::metrics::accuracy(&[0, 1, 1], &[0, 1, 0]), 2.0 / 3.0);
-/// ```
-pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
-    assert_eq!(predictions.len(), labels.len(), "accuracy: length mismatch");
-    if predictions.is_empty() {
-        return 0.0;
-    }
-    let correct = predictions
-        .iter()
-        .zip(labels)
-        .filter(|(p, l)| p == l)
-        .count();
-    correct as f64 / predictions.len() as f64
-}
-
 /// A confusion matrix with `counts[true][predicted]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
@@ -102,19 +76,6 @@ impl std::fmt::Display for ConfusionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accuracy_basic() {
-        assert_eq!(accuracy(&[], &[]), 0.0);
-        assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 3]), 1.0);
-        assert_eq!(accuracy(&[1, 0], &[1, 1]), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn accuracy_length_mismatch() {
-        accuracy(&[1], &[1, 2]);
-    }
 
     #[test]
     fn confusion_counts() {

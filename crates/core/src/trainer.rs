@@ -12,12 +12,12 @@
 //! material of the paper's Table 1 "bp" columns).
 
 use crate::backprop::{backprop_into, BackpropMode, BackpropOptions};
-use crate::model::{DfrClassifier, ForwardCache};
+use crate::model::DfrClassifier;
 use crate::optimizer::{ParamBounds, Schedule, Sgd};
-use crate::readout::{fit_readout_with, readout_accuracy_with, PAPER_BETAS};
+use crate::readout::{fit_readout_with, readout_accuracy_with, ReadoutScratch, PAPER_BETAS};
 use crate::workspace::TrainWorkspace;
-use crate::{metrics, CoreError};
-use dfr_data::Dataset;
+use crate::CoreError;
+use dfr_data::{Dataset, Sample};
 use dfr_linalg::kernels::{self, LaneBody};
 use dfr_linalg::Matrix;
 use dfr_reservoir::lanes::{dprr_lanes, LaneScratch};
@@ -44,25 +44,12 @@ pub struct TrainOptions {
     pub output_schedule: Schedule,
     /// Backpropagation variant (paper: truncated, window 1).
     pub mode: BackpropMode,
-    /// Also train the mask by gradient descent (extension; paper: false).
-    pub train_mask: bool,
-    /// Multiplier on the reservoir learning rate for mask updates. Mask
-    /// gradients aggregate over all `T · N_x` node updates, so they are far
-    /// larger than the `A`/`B` gradients; the paper's reservoir rate of 1.0
-    /// would blow the mask up immediately.
-    pub mask_lr_scale: f64,
-    /// Projection box for trained mask entries. For a linear `f` the mask
-    /// scale is redundant with `A`, so bounding it loses no expressivity
-    /// while preventing the mask/readout feedback loop from running away.
-    pub mask_bounds: (f64, f64),
     /// Ridge β candidates for the final readout.
     pub betas: Vec<f64>,
     /// Projection box for `(A, B)` (defaults to the paper's grid ranges).
     pub bounds: ParamBounds,
     /// Epoch-shuffle seed.
     pub shuffle_seed: u64,
-    /// Optional max-abs gradient clip (numerical safeguard; paper: none).
-    pub grad_clip: Option<f64>,
 }
 
 impl TrainOptions {
@@ -76,13 +63,9 @@ impl TrainOptions {
             reservoir_schedule: Schedule::paper_reservoir(),
             output_schedule: Schedule::paper_output(),
             mode: BackpropMode::PAPER_TRUNCATED,
-            train_mask: false,
-            mask_lr_scale: 0.01,
-            mask_bounds: (-4.0, 4.0),
             betas: PAPER_BETAS.to_vec(),
             bounds: ParamBounds::default(),
             shuffle_seed: 1,
-            grad_clip: None,
         }
     }
 
@@ -202,9 +185,9 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
         .reservoir_mut()
         .set_params(options.init.0, options.init.1)?;
 
-    // The mask is fixed (unless the mask-training extension is on), so the
-    // masked drive of every training sample can be computed once.
-    let mut masked: Vec<Matrix> = ds
+    // The mask is fixed, so the masked drive of every training sample can
+    // be computed once.
+    let masked: Vec<Matrix> = ds
         .train()
         .iter()
         .map(|s| model.reservoir().mask().apply(&s.series))
@@ -213,9 +196,8 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
 
     let bp_options = BackpropOptions {
         mode: options.mode,
-        mask_gradient: options.train_mask,
+        mask_gradient: false,
     };
-    let initial_mask = model.reservoir().mask().matrix().clone();
     let mut sgd = Sgd::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(options.shuffle_seed);
     let mut order: Vec<usize> = (0..ds.train().len()).collect();
@@ -237,15 +219,9 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
             match model.forward_masked_into(&masked[i], &mut ws.cache) {
                 Ok(()) => {}
                 Err(CoreError::Reservoir(dfr_reservoir::ReservoirError::Diverged { .. })) => {
-                    // SGD stepped into the unstable region; pull (A, B) — and
-                    // the mask, if it is being trained — back toward the
-                    // initial point and skip this sample.
-                    recover_params(&mut model, options, &initial_mask)?;
-                    if options.train_mask {
-                        for (j, s) in ds.train().iter().enumerate() {
-                            masked[j] = model.reservoir().mask().apply(&s.series);
-                        }
-                    }
+                    // SGD stepped into the unstable region; pull (A, B) back
+                    // toward the initial point and skip this sample.
+                    recover_params(&mut model, options)?;
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -260,33 +236,11 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
                 bp,
             )?;
             loss_sum += loss;
-            let grads = &mut bp.grads;
-            if !grads.is_finite() {
-                recover_params(&mut model, options, &initial_mask)?;
+            if !bp.grads.is_finite() {
+                recover_params(&mut model, options)?;
                 continue;
             }
-            if let Some(clip) = options.grad_clip {
-                let m = grads.max_abs();
-                if m > clip {
-                    grads.scale(clip / m);
-                }
-            }
-            sgd.step(&mut model, grads, lr_res, lr_out, &options.bounds)?;
-            if options.train_mask {
-                if let Some(mg) = &grads.mask {
-                    let mask = model.reservoir_mut().mask_mut().matrix_mut();
-                    mask.axpy(-lr_res * options.mask_lr_scale, mg)?;
-                    let (lo, hi) = options.mask_bounds;
-                    for m in mask.as_mut_slice() {
-                        *m = m.clamp(lo, hi);
-                    }
-                    // Mask changed → the cached drive for this sample (and all
-                    // others) is stale; recompute lazily below.
-                    for (j, s) in ds.train().iter().enumerate() {
-                        masked[j] = model.reservoir().mask().apply(&s.series);
-                    }
-                }
-            }
+            sgd.step(&mut model, &bp.grads, lr_res, lr_out, &options.bounds)?;
         }
         epochs.push(EpochStats {
             epoch,
@@ -301,20 +255,22 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
 
     // ---- Ridge readout with β selection (§4) -----------------------------
     let ridge_start = Instant::now();
-    let train_features = features_for(&model, ds.train().iter().map(|s| &s.series))?;
-    let fit = fit_readout_with(&train_features, &targets, &options.betas, &mut ws.readout)?;
+    let mut features = features_for(&model, ds.train().iter().map(|s| &s.series))?;
+    let fit = fit_readout_with(&features, &targets, &options.betas, &mut ws.readout)?;
     model.set_readout(fit.w_out.clone(), fit.bias.clone())?;
     let ridge_seconds = ridge_start.elapsed().as_secs_f64();
 
     let train_labels: Vec<usize> = ds.train().iter().map(|s| s.label).collect();
     let train_accuracy = readout_accuracy_with(
-        &train_features,
+        &features,
         &fit.w_out,
         &fit.bias,
         &train_labels,
         &mut ws.readout,
     )?;
-    let test_accuracy = evaluate(&model, ds)?;
+    // `evaluate` on the training run's feature matrix and readout scratch,
+    // so the test pass allocates no second set of them.
+    let test_accuracy = accuracy_into(&model, ds.test(), &mut features, &mut ws.readout)?;
 
     Ok(TrainReport {
         model,
@@ -434,20 +390,37 @@ impl<N: Nonlinearity> LaneBody for LaneGroup<'_, N> {
     }
 }
 
-/// Test-split accuracy of a trained model; per-sample predictions fan out
-/// over the pool with one forward-cache workspace per worker.
+/// Test-split accuracy of a trained model, by the two steps a grid cell
+/// takes: [`features_for`] over the test series (lane groups fanned out
+/// over the pool), then one batched readout pass
+/// ([`readout_accuracy_with`]). Bitwise equal to the fraction of test
+/// samples whose per-sample [`DfrClassifier::forward`] prediction matches
+/// the label (0.0 for an empty test split).
 ///
 /// # Errors
 ///
-/// Propagates reservoir failures.
+/// Propagates reservoir failures (divergence, channel mismatch) of the
+/// lowest failing test index, as the per-sample path reports them.
 pub fn evaluate(model: &DfrClassifier, ds: &Dataset) -> Result<f64, CoreError> {
-    let predictions =
-        dfr_pool::par_try_map_collect_with(ds.test(), ForwardCache::empty, |_, s, cache| {
-            model.forward_into(&s.series, cache)?;
-            Ok::<usize, CoreError>(cache.prediction())
-        })?;
-    let labels: Vec<usize> = ds.test().iter().map(|s| s.label).collect();
-    Ok(metrics::accuracy(&predictions, &labels))
+    accuracy_into(
+        model,
+        ds.test(),
+        &mut Matrix::zeros(0, 0),
+        &mut ReadoutScratch::new(),
+    )
+}
+
+/// [`evaluate`] over any split, against caller-owned feature and readout
+/// buffers (resized, allocation reused).
+fn accuracy_into(
+    model: &DfrClassifier,
+    samples: &[Sample],
+    features: &mut Matrix,
+    scratch: &mut ReadoutScratch,
+) -> Result<f64, CoreError> {
+    features_for_into(model, samples.iter().map(|s| &s.series), features)?;
+    let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
+    readout_accuracy_with(features, model.w_out(), model.bias(), &labels, scratch)
 }
 
 fn validate(ds: &Dataset, options: &TrainOptions) -> Result<(), CoreError> {
@@ -472,24 +445,14 @@ fn validate(ds: &Dataset, options: &TrainOptions) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Pulls `(A, B)` — and, when mask training is active, the mask — halfway
-/// back toward the initial point after a divergence: a cheap
-/// trust-region-style recovery that keeps SGD going.
-fn recover_params(
-    model: &mut DfrClassifier,
-    options: &TrainOptions,
-    initial_mask: &Matrix,
-) -> Result<(), CoreError> {
+/// Pulls `(A, B)` halfway back toward the initial point after a
+/// divergence: a cheap trust-region-style recovery that keeps SGD going.
+fn recover_params(model: &mut DfrClassifier, options: &TrainOptions) -> Result<(), CoreError> {
     let (a, b) = (model.reservoir().a(), model.reservoir().b());
     let (ia, ib) = options.init;
     model
         .reservoir_mut()
         .set_params(0.5 * (a + ia), 0.5 * (b + ib))?;
-    if options.train_mask {
-        let mask = model.reservoir_mut().mask_mut().matrix_mut();
-        mask.scale(0.5);
-        mask.axpy(0.5, initial_mask)?;
-    }
     Ok(())
 }
 
@@ -579,20 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_training_extension_runs() {
-        let ds = easy_dataset();
-        let options = TrainOptions {
-            train_mask: true,
-            epochs: 3,
-            ..small_options()
-        };
-        let report = train(&ds, &options).unwrap();
-        // Mask must have moved away from ±1 entries.
-        let mask = report.model.reservoir().mask().matrix();
-        assert!(mask.as_slice().iter().any(|&v| v.abs() != 1.0));
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         let ds = easy_dataset();
         let mut o = small_options();
@@ -603,19 +552,5 @@ mod tests {
         assert!(train(&ds, &o).is_err());
         let empty = dfr_data::Dataset::new("e", 2, vec![], vec![]).unwrap();
         assert!(train(&empty, &small_options()).is_err());
-    }
-
-    #[test]
-    fn grad_clip_limits_updates() {
-        let ds = easy_dataset();
-        let options = TrainOptions {
-            grad_clip: Some(1e-9), // effectively freezes training
-            epochs: 2,
-            ..small_options()
-        };
-        let report = train(&ds, &options).unwrap();
-        let (a, b) = (report.model.reservoir().a(), report.model.reservoir().b());
-        assert!((a - 0.01).abs() < 1e-6, "A barely moves: {a}");
-        assert!((b - 0.01).abs() < 1e-6, "B barely moves: {b}");
     }
 }

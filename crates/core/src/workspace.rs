@@ -21,7 +21,8 @@
 //! The **caller** owns the workspace and may reuse it across any sequence
 //! of calls with the same or different shapes (buffers are resized, never
 //! assumed). Inside `dfr-pool` fan-outs each worker owns a private
-//! workspace (see `par_map_collect_with` / `par_chunks_mut_with`) — scratch
+//! workspace (built per worker block by `par_try_chunks_mut_with`'s `init`,
+//! or owned per part by the caller of `par_try_parts_zip_mut`) — scratch
 //! is never shared between workers. After a call that returned an error the
 //! workspace contents are unspecified but safe: the next successful call
 //! fully overwrites them.

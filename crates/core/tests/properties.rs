@@ -835,6 +835,123 @@ fn channel_mismatch_and_empty_series_report_the_per_sample_error() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// `trainer::evaluate` against per-sample prediction.
+//
+// `evaluate` takes the grid-search path (`features_for`, then one batched
+// readout pass); its accuracy must equal, bit for bit, the fraction of
+// test samples whose per-sample `forward(s).prediction()` hits the label,
+// and its error must be the per-sample path's error of the lowest failing
+// index — at pool widths 1, 2 and 8, and under every available kernel
+// (width 1, where `with_kernel` reaches every product).
+// ---------------------------------------------------------------------------
+
+/// Accuracy (as bits) counted from per-sample predictions, or the error of
+/// the lowest failing test index.
+fn per_sample_accuracy(m: &DfrClassifier, ds: &dfr_data::Dataset) -> Result<u64, CoreError> {
+    let mut correct = 0usize;
+    for s in ds.test() {
+        if m.forward(&s.series)?.prediction() == s.label {
+            correct += 1;
+        }
+    }
+    let n = ds.test().len();
+    let accuracy = if n == 0 {
+        0.0
+    } else {
+        correct as f64 / n as f64
+    };
+    Ok(accuracy.to_bits())
+}
+
+fn assert_evaluate_matches(m: &DfrClassifier, ds: &dfr_data::Dataset, what: &str) {
+    use dfr_linalg::kernels::{available, with_kernel};
+    let want = per_sample_accuracy(m, ds);
+    let evaluate = || dfr_core::trainer::evaluate(m, ds).map(f64::to_bits);
+    for threads in [1usize, 2, 8] {
+        let got = dfr_pool::with_threads(threads, evaluate);
+        assert_eq!(got, want, "{what}: {threads} threads");
+    }
+    for kernel in available() {
+        let got = dfr_pool::with_threads(1, || with_kernel(kernel.kind(), evaluate));
+        assert_eq!(got, want, "{what}: kernel {}", kernel.name());
+    }
+}
+
+/// `ds` with its test series cut to the given lengths (cycled), so lane
+/// groups break and fall back to one-lane reruns.
+fn ragged_test_split(ds: &dfr_data::Dataset, lens: &[usize]) -> dfr_data::Dataset {
+    let test = ds
+        .test()
+        .iter()
+        .zip(lens.iter().cycle())
+        .map(|(s, &t)| {
+            let c = s.series.cols();
+            let rows = s.series.as_slice()[..t * c].to_vec();
+            dfr_data::Sample::new(Matrix::from_vec(t, c, rows).expect("sized"), s.label)
+        })
+        .collect();
+    dfr_data::Dataset::new("ragged", ds.num_classes(), ds.train().to_vec(), test).expect("valid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn evaluate_equals_per_sample_prediction_bitwise(
+        seed in 0u64..1000,
+        a in 0.02_f64..0.4,
+        b in 0.02_f64..0.4,
+        w_scale in 0.5_f64..8.0,
+    ) {
+        let mut m = classifier(a, b, w_scale, seed);
+        for (c, bias) in m.bias_mut().iter_mut().enumerate() {
+            *bias = (((c as u64 * 13 + seed) % 7) as f64 / 7.0 - 0.5) * w_scale * 0.1;
+        }
+        // 13 equal-length test series: three full 4-lane groups and one
+        // lone sample.
+        let ds = dfr_data::DatasetSpec::new("eval-eq", 3, 12, 2, 4, 13, 0.35).build(seed);
+        assert_evaluate_matches(&m, &ds, "equal lengths");
+        let ragged = ragged_test_split(&ds, &[12, 11, 12, 12, 7, 1, 12, 0, 12]);
+        assert_evaluate_matches(&m, &ragged, "ragged lengths");
+    }
+}
+
+#[test]
+fn evaluate_reports_the_per_sample_error() {
+    let m = classifier(0.5, 0.4, 2.0, 3);
+    let ds = dfr_data::DatasetSpec::new("eval-err", 3, 12, 2, 4, 11, 0.35).build(1);
+    // 1e7 spikes push |s| past the divergence limit: samples 9 (early step)
+    // and 5 (later step) diverge, and 5 is the lowest failing index.
+    let mut test = ds.test().to_vec();
+    for (i, k) in [(9usize, 1usize), (5, 8)] {
+        test[i].series[(k, 0)] = 1e7;
+        test[i].series[(k, 1)] = 1e7;
+    }
+    let spiked = dfr_data::Dataset::new("spiked", 3, ds.train().to_vec(), test).expect("valid");
+    let want = per_sample_accuracy(&m, &spiked);
+    assert!(
+        matches!(
+            want,
+            Err(CoreError::Reservoir(
+                dfr_reservoir::ReservoirError::Diverged { .. }
+            ))
+        ),
+        "the per-sample path must diverge: {want:?}"
+    );
+    assert_evaluate_matches(&m, &spiked, "diverging samples");
+
+    // A model built for three channels meets two-channel series.
+    let wide = DfrClassifier::paper_default(4, 3, 3, 1).expect("model");
+    assert!(per_sample_accuracy(&wide, &ds).is_err());
+    assert_evaluate_matches(&wide, &ds, "channel mismatch");
+
+    let empty =
+        dfr_data::Dataset::new("empty-test", 3, ds.train().to_vec(), vec![]).expect("valid");
+    assert_eq!(per_sample_accuracy(&m, &empty), Ok(0.0f64.to_bits()));
+    assert_evaluate_matches(&m, &empty, "empty test split");
+}
+
 /// The solver ladder (DESIGN.md §15) through the real pipeline: every
 /// degenerate stream family goes through reservoir features and a
 /// β sweep with an unregularised β = 0 candidate on top of the paper's

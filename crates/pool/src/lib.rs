@@ -1,11 +1,14 @@
 //! Deterministic scoped parallel execution for the DFR workspace.
 //!
 //! Every hot path in the reproduction — dense products in `dfr-linalg`,
-//! per-sample DPRR features in `dfr-reservoir`, the `(A, B)` grid in
-//! `dfr-core`, the dataset sweeps in `dfr-bench` — is embarrassingly
-//! parallel. This crate is the one execution layer they all share: a
-//! work-stealing-free fan-out built on [`std::thread::scope`] with a small
-//! rayon-style API subset.
+//! lane groups of DPRR features and grid cells in `dfr-core`, serve
+//! batches in `dfr-serve`, the dataset sweeps in `dfr-bench` — is
+//! embarrassingly parallel. This crate is the one execution layer they all
+//! share: a work-stealing-free fan-out built on [`std::thread::scope`] with
+//! a small rayon-style API subset. Each entry point only *splits* its work
+//! into jobs; one private loop runs them (spawn every job but the first,
+//! run the first on the caller, mark every job as a worker, join, report
+//! the earliest failure).
 //!
 //! # Determinism contract
 //!
@@ -18,8 +21,9 @@
 //! * [`par_map_collect`] writes each result into the slot of its input
 //!   index, so collection order equals input order regardless of which
 //!   thread finished first;
-//! * [`par_try_map_collect_with`] reports the error of the *lowest input index*,
-//!   not the first to fail in wall-clock order;
+//! * the fallible entry points ([`par_try_chunks_mut_with`],
+//!   [`par_try_parts_zip_mut`]) run every job and report the error of the
+//!   *lowest index*, not the first to fail in wall-clock order;
 //! * there is no concurrent accumulation: reductions happen in the caller,
 //!   over the ordered results.
 //!
@@ -44,7 +48,10 @@
 //!
 //! A region inside a pool worker always runs serially (no nested fan-out),
 //! so outer layers — e.g. a dataset sweep — claim the threads and inner
-//! layers degrade gracefully instead of oversubscribing.
+//! layers degrade gracefully instead of oversubscribing. A region that
+//! itself runs serially (width 1, a single job, or nested) adds no mark of
+//! its own, so a region opened inside it fans out exactly as it would
+//! have outside it.
 //!
 //! # Example
 //!
@@ -62,6 +69,7 @@
 pub mod knob;
 
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -178,22 +186,15 @@ fn fan_out(items: usize) -> usize {
     max_threads().clamp(1, items.max(1))
 }
 
-/// Marks the current (freshly spawned) thread as a pool worker.
-fn enter_worker() {
-    WORKER_DEPTH.with(|c| c.set(c.get() + 1));
-}
-
 /// Marks the current thread as a pool worker for a lexical scope,
-/// unmarking on drop — used when the **calling** thread executes the first
-/// block of a parallel region inline instead of idling at the join. Inline
-/// execution must degrade nested regions to serial exactly like a spawned
-/// worker, or the caller's block would fan out again while the spawned
-/// workers run.
+/// unmarking on drop. Every job of a parallel region runs under one — the
+/// caller's inline job as much as the spawned ones — so a region opened
+/// inside any job runs serially instead of fanning out again.
 struct WorkerMark;
 
 impl WorkerMark {
     fn enter() -> Self {
-        enter_worker();
+        WORKER_DEPTH.with(|c| c.set(c.get() + 1));
         WorkerMark
     }
 }
@@ -204,37 +205,76 @@ impl Drop for WorkerMark {
     }
 }
 
-/// A scoped spawn handle; re-exported so callers can write
-/// `pool::scope(|s| { s.spawn(…); })` without importing `std::thread`.
-pub use std::thread::Scope;
-
-/// Runs `f` with a handle for spawning scoped threads, joining them all
-/// before returning (a thin, panic-propagating wrapper over
-/// [`std::thread::scope`]).
+/// The one fan-out loop under every entry point: runs `work` on every job
+/// and returns the error of the **earliest** failing job (in `jobs` order),
+/// after every job has run to completion.
 ///
-/// Prefer the structured entry points ([`par_map_collect`],
-/// [`par_chunks_mut`]) — they encode the determinism contract; `scope` is
-/// the escape hatch for irregular shapes.
-pub fn scope<'env, F, R>(f: F) -> R
+/// Serial (`parallel == false`): the jobs run inline, in order, and the
+/// caller stays unmarked, so a region opened inside a job may still fan
+/// out. Parallel: every job but the first is spawned on
+/// [`std::thread::scope`] and the caller runs the first itself instead of
+/// idling at the join — one fewer spawn per region and no
+/// runnable-but-parked caller competing for a core. Every parallel job
+/// runs under a [`WorkerMark`]. Failures go to one registry that keeps the
+/// lowest job index, so the reported error does not depend on which
+/// thread finished first. Nothing here allocates beyond the spawns.
+fn run_jobs<J, E, W>(parallel: bool, jobs: impl IntoIterator<Item = J>, work: W) -> Result<(), E>
 where
-    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
+    J: Send,
+    E: Send,
+    W: Fn(J) -> Result<(), E> + Sync,
 {
-    std::thread::scope(f)
+    if !parallel {
+        return jobs.into_iter().map(work).fold(Ok(()), Result::and);
+    }
+    let earliest: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let run = |k: usize, job: J| {
+        let _mark = WorkerMark::enter();
+        if let Err(e) = work(job) {
+            let mut slot = earliest.lock().expect("failure registry poisoned");
+            if slot.as_ref().map_or(true, |&(first, _)| k < first) {
+                *slot = Some((k, e));
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        let mut jobs = jobs.into_iter().enumerate();
+        let first = jobs.next();
+        for (k, job) in jobs {
+            let run = &run;
+            s.spawn(move || run(k, job));
+        }
+        if let Some((k, job)) = first {
+            run(k, job);
+        }
+    });
+    match earliest.into_inner().expect("failure registry poisoned") {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// Unwraps the result of a region whose jobs cannot fail.
+fn infallible(r: Result<(), Infallible>) {
+    if let Err(never) = r {
+        match never {}
+    }
 }
 
 /// Applies `f` to every item and collects the results **in input order**.
 ///
-/// `f` receives `(index, &item)`. Items are split into contiguous blocks,
-/// one per worker; with one thread (or inside a worker, or for a single
-/// item) the loop runs inline with no spawn.
+/// `f` receives `(index, &item)`. Items are split into contiguous blocks of
+/// `⌈n/threads⌉`, one per worker, and each result is written into the slot
+/// of its input index; with one thread (or inside a worker, or for a
+/// single item) the loop runs inline with no spawn.
 ///
 /// # Panics
 ///
 /// Panics if any worker panics: [`std::thread::scope`] joins every worker
 /// and then re-raises, so no work is silently dropped — but the original
 /// payload is not preserved and no cross-worker ordering is guaranteed.
-/// Use [`par_try_map_collect_with`] where the failure itself must be
-/// deterministic.
+/// Use a fallible entry point ([`par_try_chunks_mut_with`]) where the
+/// failure itself must be deterministic.
 ///
 /// # Example
 ///
@@ -248,114 +288,20 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_collect_with(items, || (), |i, t, ()| f(i, t))
-}
-
-/// [`par_map_collect`] with **per-worker scratch state**: `init` runs once
-/// on each worker (once total when the region is serial) and the resulting
-/// workspace is handed `&mut` to every `f` call that worker executes.
-///
-/// This is the pool's half of the workspace-buffer convention (`DESIGN.md`
-/// §9): expensive scratch — reservoir-state buffers, gradient matrices — is
-/// built once per worker and reused across that worker's contiguous block
-/// of items, never shared between workers. The item→worker assignment is
-/// the same contiguous-block split as [`par_map_collect`], so adding
-/// scratch cannot change results of a conforming kernel (one whose output
-/// does not depend on scratch history).
-///
-/// # Example
-///
-/// ```
-/// let out = dfr_pool::par_map_collect_with(
-///     &[1u64, 2, 3],
-///     Vec::new,
-///     |_, &x, scratch: &mut Vec<u64>| {
-///         scratch.clear(); // reused buffer, warm after the first item
-///         scratch.push(x);
-///         scratch[0] * 10
-///     },
-/// );
-/// assert_eq!(out, vec![10, 20, 30]);
-/// ```
-pub fn par_map_collect_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
-{
     let threads = fan_out(items.len());
-    if threads <= 1 {
-        let mut ws = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t, &mut ws))
-            .collect();
-    }
-    let block = items.len().div_ceil(threads);
+    let block = items.len().div_ceil(threads).max(1);
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    // Blocks 1.. go to spawned workers; the calling thread executes block 0
-    // itself instead of idling at the scope join — one fewer spawn per
-    // region and no runnable-but-parked caller competing for a core.
-    scope(|s| {
-        let mut blocks = items.chunks(block).zip(slots.chunks_mut(block)).enumerate();
-        let first = blocks.next();
-        for (b, (in_block, out_block)) in blocks {
-            let f = &f;
-            let init = &init;
-            s.spawn(move || {
-                enter_worker();
-                let mut ws = init();
-                let base = b * block;
-                for (k, (item, slot)) in in_block.iter().zip(out_block.iter_mut()).enumerate() {
-                    *slot = Some(f(base + k, item, &mut ws));
-                }
-            });
+    let blocks = items.chunks(block).zip(slots.chunks_mut(block)).enumerate();
+    infallible(run_jobs(threads > 1, blocks, |(b, (ins, outs))| {
+        for (k, (item, slot)) in ins.iter().zip(outs).enumerate() {
+            *slot = Some(f(b * block + k, item));
         }
-        if let Some((_, (in_block, out_block))) = first {
-            let _mark = WorkerMark::enter();
-            let mut ws = init();
-            for (k, (item, slot)) in in_block.iter().zip(out_block.iter_mut()).enumerate() {
-                *slot = Some(f(k, item, &mut ws));
-            }
-        }
-    });
+        Ok(())
+    }));
     slots
         .into_iter()
         .map(|slot| slot.expect("every slot is filled by exactly one worker"))
         .collect()
-}
-
-/// Fallible [`par_map_collect_with`]: returns the results in input order,
-/// or the error of the **lowest input index** that failed.
-///
-/// All items are evaluated even when one fails early (errors on these paths
-/// are rare and terminal); what the contract buys is that the *reported*
-/// error does not depend on thread scheduling.
-///
-/// # Errors
-///
-/// The error produced by `f` at the lowest failing index.
-///
-/// # Example
-///
-/// ```
-/// let r: Result<Vec<u32>, String> =
-///     dfr_pool::par_try_map_collect_with(&[1u32, 0, 0], || (), |i, &x, ()| {
-///         if x == 0 { Err(format!("zero at {i}")) } else { Ok(x) }
-///     });
-/// assert_eq!(r.unwrap_err(), "zero at 1");
-/// ```
-pub fn par_try_map_collect_with<T, R, E, S, I, F>(items: &[T], init: I, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> Result<R, E> + Sync,
-{
-    par_map_collect_with(items, init, f).into_iter().collect()
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
@@ -374,70 +320,31 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    par_chunks_mut_with(data, chunk_len, || (), |i, chunk, ()| f(i, chunk));
+    infallible(par_try_chunks_mut_with(
+        data,
+        chunk_len,
+        || (),
+        |i, chunk, ()| {
+            f(i, chunk);
+            Ok(())
+        },
+    ));
 }
 
-/// [`par_chunks_mut`] with per-worker scratch state (see
-/// [`par_map_collect_with`] for the workspace convention): `init` runs once
-/// per worker and its result is handed `&mut` to every chunk that worker
-/// writes.
+/// Fallible [`par_chunks_mut`] with **per-worker scratch state**: the
+/// chunks are split into contiguous blocks of `⌈chunks/threads⌉`, one per
+/// worker; `init` runs once per block (once total when the region is
+/// serial) and its result is handed `&mut` to every chunk of that block.
 ///
-/// # Panics
+/// This is the pool's half of the workspace-buffer convention (`DESIGN.md`
+/// §9): expensive scratch — lane-kernel state, grid-cell feature matrices
+/// — is built once per worker and reused across that worker's block,
+/// never shared between workers. Conforming kernels (each chunk's result
+/// independent of scratch history) are therefore unaffected by the split.
 ///
-/// Panics if `chunk_len == 0` and `data` is non-empty.
-pub fn par_chunks_mut_with<T, S, I, F>(data: &mut [T], chunk_len: usize, init: I, f: F)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(
-        chunk_len > 0,
-        "par_chunks_mut needs a positive chunk length"
-    );
-    let chunks = data.len().div_ceil(chunk_len);
-    let threads = fan_out(chunks);
-    if threads <= 1 {
-        let mut ws = init();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk, &mut ws);
-        }
-        return;
-    }
-    let per_worker = chunks.div_ceil(threads);
-    // As in `par_map_collect_with`, the caller executes the first block
-    // inline (marked as a worker) while the spawned workers run the rest.
-    scope(|s| {
-        let mut blocks = data.chunks_mut(per_worker * chunk_len).enumerate();
-        let first = blocks.next();
-        for (b, block) in blocks {
-            let f = &f;
-            let init = &init;
-            s.spawn(move || {
-                enter_worker();
-                let mut ws = init();
-                for (k, chunk) in block.chunks_mut(chunk_len).enumerate() {
-                    f(b * per_worker + k, chunk, &mut ws);
-                }
-            });
-        }
-        if let Some((_, block)) = first {
-            let _mark = WorkerMark::enter();
-            let mut ws = init();
-            for (k, chunk) in block.chunks_mut(chunk_len).enumerate() {
-                f(k, chunk, &mut ws);
-            }
-        }
-    });
-}
-
-/// Fallible [`par_chunks_mut_with`]: every chunk is processed (errors are
-/// rare and terminal on these paths), then the error of the **lowest chunk
-/// index** that failed is reported — the same deterministic-failure
-/// contract as [`par_try_map_collect_with`]. Chunks whose kernel failed hold
+/// Every chunk is processed (errors are rare and terminal on these paths),
+/// then the error of the **lowest chunk index** that failed is reported,
+/// whatever order the workers finished in. Chunks whose kernel failed hold
 /// whatever the kernel wrote before failing.
 ///
 /// # Errors
@@ -447,6 +354,20 @@ where
 /// # Panics
 ///
 /// Panics if `chunk_len == 0` and `data` is non-empty.
+///
+/// # Example
+///
+/// ```
+/// let mut data = [0u32; 5];
+/// let r: Result<(), String> =
+///     dfr_pool::par_try_chunks_mut_with(&mut data, 1, Vec::new, |i, chunk, scratch: &mut Vec<usize>| {
+///         scratch.push(i); // reused across the worker's block
+///         chunk[0] = i as u32;
+///         if i % 2 == 1 { Err(format!("odd chunk {i}")) } else { Ok(()) }
+///     });
+/// assert_eq!(r.unwrap_err(), "odd chunk 1");
+/// assert_eq!(data, [0, 1, 2, 3, 4]);
+/// ```
 pub fn par_try_chunks_mut_with<T, E, S, I, F>(
     data: &mut [T],
     chunk_len: usize,
@@ -459,21 +380,25 @@ where
     I: Fn() -> S + Sync,
     F: Fn(usize, &mut [T], &mut S) -> Result<(), E> + Sync,
 {
-    let failures: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    par_chunks_mut_with(data, chunk_len, &init, |i, chunk, ws| {
-        if let Err(e) = f(i, chunk, ws) {
-            failures
-                .lock()
-                .expect("failure registry poisoned")
-                .push((i, e));
-        }
-    });
-    let mut failures = failures.into_inner().expect("failure registry poisoned");
-    failures.sort_by_key(|(i, _)| *i);
-    match failures.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
+    if data.is_empty() {
+        return Ok(());
     }
+    assert!(
+        chunk_len > 0,
+        "chunked regions need a positive chunk length"
+    );
+    let chunks = data.len().div_ceil(chunk_len);
+    let threads = fan_out(chunks);
+    let per_block = chunks.div_ceil(threads);
+    let blocks = data.chunks_mut(per_block * chunk_len).enumerate();
+    run_jobs(threads > 1, blocks, |(b, block)| {
+        let mut ws = init();
+        block
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(k, chunk)| f(b * per_block + k, chunk, &mut ws))
+            .fold(Ok(()), Result::and)
+    })
 }
 
 /// Splits `data` into consecutive parts of caller-specified (possibly
@@ -485,7 +410,7 @@ where
 /// triangle) hand later rows more work, so equal-length chunks would leave
 /// the last worker with ~2× the average load. The caller sizes the parts;
 /// the pool keeps the execution policy (worker marking, nested-region
-/// serial fallback, one part per spawned worker).
+/// serial fallback, one part per job).
 ///
 /// # Panics
 ///
@@ -495,65 +420,34 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert_eq!(
-        part_lens.iter().sum::<usize>(),
-        data.len(),
-        "par_parts_mut: part lengths must cover the data exactly"
-    );
-    let parts = part_lens.iter().filter(|&&l| l > 0).count();
-    let threads = fan_out(parts);
-    if threads <= 1 {
-        let mut rest = data;
-        for (i, &len) in part_lens.iter().enumerate() {
-            let (part, tail) = rest.split_at_mut(len);
-            rest = tail;
-            if !part.is_empty() {
-                f(i, part);
-            }
-        }
-        return;
-    }
-    // The first non-empty part runs inline on the caller (marked as a
-    // worker) after the rest have been spawned.
-    scope(|s| {
-        let mut rest = data;
-        let mut first: Option<(usize, &mut [T])> = None;
-        for (i, &len) in part_lens.iter().enumerate() {
-            let (part, tail) = rest.split_at_mut(len);
-            rest = tail;
-            if part.is_empty() {
-                continue;
-            }
-            if first.is_none() {
-                first = Some((i, part));
-                continue;
-            }
-            let f = &f;
-            s.spawn(move || {
-                enter_worker();
-                f(i, part);
-            });
-        }
-        if let Some((i, part)) = first {
-            let _mark = WorkerMark::enter();
+    // A `Vec` of zero-sized states never touches the heap.
+    let mut states = vec![(); part_lens.len()];
+    infallible(par_try_parts_zip_mut(
+        data,
+        part_lens,
+        &mut states,
+        |i, part, ()| {
             f(i, part);
-        }
-    });
+            Ok(())
+        },
+    ));
 }
 
 /// Fallible [`par_parts_mut`] with **caller-owned per-part state**: part
-/// `i` of `data` is processed as `f(i, part, &mut states[i])`, each part on
-/// its own worker (the first non-empty part inline on the caller). Errors
-/// follow the lowest-part-index contract of [`par_try_map_collect_with`].
+/// `i` of `data` is processed as `f(i, part, &mut states[i])`, one job per
+/// non-empty part (the first inline on the caller). Errors follow the
+/// lowest-index contract: every part runs, and the error of the lowest
+/// failing part index is reported.
 ///
-/// This is the batch fan-out primitive of the serving layer: unlike the
-/// `_with` variants, whose `init` closure rebuilds scratch at every
-/// parallel region, the states here live in the **caller** and survive
-/// across calls — a warm `predict_batch` re-enters with every per-worker
-/// buffer already at its high-water mark, so the steady state allocates
-/// nothing. The caller fixes the part split deterministically; conforming
-/// kernels (each element's result independent of the split and of state
-/// history) stay bit-identical at every thread count.
+/// This is the batch fan-out primitive of the serving layer: unlike
+/// [`par_try_chunks_mut_with`], whose `init` closure rebuilds scratch at
+/// every parallel region, the states here live in the **caller** and
+/// survive across calls — a warm `predict_batch` re-enters with every
+/// per-worker buffer already at its high-water mark, and the split is a
+/// lazy iterator, so the steady state allocates nothing. The caller fixes
+/// the part split deterministically; conforming kernels (each element's
+/// result independent of the split and of state history) stay
+/// bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -598,79 +492,21 @@ where
     assert_eq!(
         part_lens.iter().sum::<usize>(),
         data.len(),
-        "par_try_parts_zip_mut: part lengths must cover the data exactly"
+        "part lengths must cover the data exactly"
     );
-    assert!(
-        states.len() >= part_lens.len(),
-        "par_try_parts_zip_mut: need one state per part"
-    );
-    let parts = part_lens.iter().filter(|&&l| l > 0).count();
-    let threads = fan_out(parts);
-    if threads <= 1 {
-        let mut rest = data;
-        let mut result: Result<(), E> = Ok(());
-        for ((i, &len), state) in part_lens.iter().enumerate().zip(states.iter_mut()) {
-            let (part, tail) = rest.split_at_mut(len);
+    assert!(states.len() >= part_lens.len(), "need one state per part");
+    let threads = fan_out(part_lens.iter().filter(|&&l| l > 0).count());
+    let mut rest = data;
+    let parts = part_lens
+        .iter()
+        .zip(states)
+        .enumerate()
+        .filter_map(move |(i, (&len, state))| {
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
-            if part.is_empty() {
-                continue;
-            }
-            if let Err(e) = f(i, part, state) {
-                if result.is_ok() {
-                    result = Err(e);
-                }
-            }
-        }
-        return result;
-    }
-    let failures: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    // The first non-empty part runs inline on the caller (marked as a
-    // worker) after the rest have been spawned — same policy as
-    // `par_parts_mut`.
-    scope(|s| {
-        let mut rest = data;
-        let mut states_rest = states;
-        let mut first: Option<(usize, &mut [T], &mut S)> = None;
-        for (i, &len) in part_lens.iter().enumerate() {
-            let (part, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let (state, states_tail) = states_rest.split_first_mut().expect("state per part");
-            states_rest = states_tail;
-            if part.is_empty() {
-                continue;
-            }
-            if first.is_none() {
-                first = Some((i, part, state));
-                continue;
-            }
-            let f = &f;
-            let failures = &failures;
-            s.spawn(move || {
-                enter_worker();
-                if let Err(e) = f(i, part, state) {
-                    failures
-                        .lock()
-                        .expect("failure registry poisoned")
-                        .push((i, e));
-                }
-            });
-        }
-        if let Some((i, part, state)) = first {
-            let _mark = WorkerMark::enter();
-            if let Err(e) = f(i, part, state) {
-                failures
-                    .lock()
-                    .expect("failure registry poisoned")
-                    .push((i, e));
-            }
-        }
-    });
-    let mut failures = failures.into_inner().expect("failure registry poisoned");
-    failures.sort_by_key(|(i, _)| *i);
-    match failures.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+            (!part.is_empty()).then_some((i, part, state))
+        });
+    run_jobs(threads > 1, parts, |(i, part, state)| f(i, part, state))
 }
 
 /// Splits `total` items into the contiguous per-worker band lengths a
@@ -735,14 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn try_map_ok_roundtrip() {
-        let items = [1u32, 2, 3];
-        let r: Result<Vec<u32>, ()> =
-            par_try_map_collect_with(&items, || (), |_, &x, ()| Ok(x + 1));
-        assert_eq!(r.unwrap(), vec![2, 3, 4]);
-    }
-
-    #[test]
     fn chunks_mut_visits_every_chunk_once() {
         for threads in [1, 2, 5] {
             let mut data = vec![0u32; 103];
@@ -793,19 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn parts_mut_marks_workers() {
-        let mut data = vec![false; 6];
-        with_threads(3, || {
-            par_parts_mut(&mut data, &[2, 2, 2], |_, part| {
-                for v in part.iter_mut() {
-                    *v = in_worker();
-                }
-            });
-        });
-        assert!(data.iter().all(|&w| w));
-    }
-
-    #[test]
     #[should_panic(expected = "cover the data exactly")]
     fn parts_mut_rejects_wrong_total() {
         let mut data = vec![0u32; 3];
@@ -813,70 +628,51 @@ mod tests {
     }
 
     #[test]
-    fn map_with_initialises_once_per_worker() {
+    fn chunks_with_initialises_once_per_worker() {
         let inits = AtomicU32::new(0);
         for threads in [1usize, 3, 8] {
             inits.store(0, Ordering::Relaxed);
-            let items: Vec<usize> = (0..24).collect();
-            let out = with_threads(threads, || {
-                par_map_collect_with(
-                    &items,
+            let mut out = vec![(0usize, 0usize); 24];
+            let r: Result<(), ()> = with_threads(threads, || {
+                par_try_chunks_mut_with(
+                    &mut out,
+                    1,
                     || {
                         inits.fetch_add(1, Ordering::Relaxed);
                         0usize
                     },
-                    |i, &x, seen| {
+                    |i, slot, seen| {
                         *seen += 1;
-                        (i, x, *seen)
+                        slot[0] = (i, *seen);
+                        Ok(())
                     },
                 )
             });
+            assert!(r.is_ok());
             // One workspace per worker, reused across that worker's block.
             assert_eq!(inits.load(Ordering::Relaxed) as usize, threads.min(24));
-            for (slot, (i, x, seen)) in out.iter().enumerate() {
-                assert_eq!(slot, *i);
-                assert_eq!(slot, *x);
+            let block = 24usize.div_ceil(threads);
+            for (slot, &(i, seen)) in out.iter().enumerate() {
+                assert_eq!(slot, i);
                 // `seen` counts position within the worker's block.
-                assert!(*seen >= 1);
+                assert_eq!(seen, slot % block + 1, "threads={threads} slot {slot}");
             }
         }
     }
 
     #[test]
-    fn try_map_with_reports_lowest_index_error() {
-        let items: Vec<usize> = (0..40).collect();
+    fn try_chunks_with_reports_lowest_index_error() {
+        let mut data: Vec<usize> = vec![0; 40];
         for threads in [1, 4, 8] {
-            let r: Result<Vec<usize>, usize> = with_threads(threads, || {
-                par_try_map_collect_with(
-                    &items,
+            let r: Result<(), usize> = with_threads(threads, || {
+                par_try_chunks_mut_with(
+                    &mut data,
+                    1,
                     || (),
-                    |i, _, _| if i % 9 == 5 { Err(i) } else { Ok(i) },
+                    |i, _, _| if i % 9 == 5 { Err(i) } else { Ok(()) },
                 )
             });
             assert_eq!(r.unwrap_err(), 5, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_mut_with_reuses_worker_state() {
-        for threads in [1, 2, 5] {
-            let mut data = vec![0u32; 60];
-            with_threads(threads, || {
-                par_chunks_mut_with(
-                    &mut data,
-                    10,
-                    || 0u32,
-                    |ci, chunk, count| {
-                        *count += 1;
-                        for v in chunk.iter_mut() {
-                            *v = ci as u32 + 1;
-                        }
-                    },
-                );
-            });
-            for (i, v) in data.iter().enumerate() {
-                assert_eq!(*v, (i / 10) as u32 + 1, "threads={threads} index {i}");
-            }
         }
     }
 
@@ -899,9 +695,11 @@ mod tests {
                 )
             });
             assert_eq!(r.unwrap_err(), 1, "threads={threads}");
-            // Successful chunks were still written; failed ones were not.
+            // Every chunk ran: successful ones, after the failure too, were
+            // written; failed ones were not.
             assert_eq!(data[0], 7);
             assert_eq!(data[15], 0);
+            assert_eq!(data[25], 7);
         }
         let mut ok = vec![0u32; 4];
         let r: Result<(), ()> = par_try_chunks_mut_with(
@@ -952,6 +750,11 @@ mod tests {
             let r: Result<(), usize> = with_threads(threads, || {
                 par_try_parts_zip_mut(&mut data, &[3, 3, 3, 3], &mut states, |pi, part, ()| {
                     if pi % 2 == 1 {
+                        if pi == 1 {
+                            // The lowest failure finishes last in wall-clock
+                            // order and must still win.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                        }
                         return Err(pi);
                     }
                     part.fill(9);
@@ -960,23 +763,27 @@ mod tests {
             });
             assert_eq!(r.unwrap_err(), 1, "threads={threads}");
             assert_eq!(data[0], 9); // successful parts still written
+            assert_eq!(data[6], 9);
         }
     }
 
     #[test]
     fn parts_zip_mut_skips_empty_parts_keeping_state_alignment() {
-        let mut data = vec![0u32; 4];
-        let mut states = vec![0u32; 3];
-        let r: Result<(), ()> = with_threads(8, || {
-            par_try_parts_zip_mut(&mut data, &[2, 0, 2], &mut states, |pi, part, s| {
-                *s = pi as u32 + 1;
-                part.fill(pi as u32);
-                Ok(())
-            })
-        });
-        assert!(r.is_ok());
-        assert_eq!(states, vec![1, 0, 3]); // part 1 empty → state 1 untouched
-        assert_eq!(data, vec![0, 0, 2, 2]);
+        for threads in [1usize, 8] {
+            let mut data = vec![0u32; 4];
+            let mut states = vec![0u32; 4];
+            let r: Result<(), ()> = with_threads(threads, || {
+                par_try_parts_zip_mut(&mut data, &[0, 2, 0, 2], &mut states, |pi, part, s| {
+                    *s = pi as u32 + 1;
+                    part.fill(pi as u32);
+                    Ok(())
+                })
+            });
+            assert!(r.is_ok());
+            // Empty parts 0 and 2 → their states untouched.
+            assert_eq!(states, vec![0, 2, 0, 4], "threads={threads}");
+            assert_eq!(data, vec![1, 1, 3, 3], "threads={threads}");
+        }
     }
 
     #[test]
@@ -1004,6 +811,68 @@ mod tests {
         }
         band_lens_into(10, 4, &mut lens);
         assert_eq!(lens, vec![3, 3, 2, 2]);
+    }
+
+    #[test]
+    fn chunks_and_parts_mark_every_job() {
+        let mut marks = vec![false; 6];
+        with_threads(3, || {
+            par_chunks_mut(&mut marks, 1, |_, chunk| chunk[0] = in_worker());
+        });
+        assert!(marks.iter().all(|&w| w));
+        let mut marks = vec![false; 6];
+        with_threads(3, || {
+            par_parts_mut(&mut marks, &[2, 2, 2], |_, part| part.fill(in_worker()));
+        });
+        assert!(marks.iter().all(|&w| w));
+        let mut marks = vec![false; 6];
+        let mut states = vec![0usize; 3];
+        let r: Result<(), ()> = with_threads(3, || {
+            par_try_parts_zip_mut(&mut marks, &[2, 2, 2], &mut states, |_, part, depth| {
+                part.fill(in_worker());
+                *depth = WORKER_DEPTH.with(Cell::get);
+                Ok(())
+            })
+        });
+        assert!(r.is_ok());
+        assert!(marks.iter().all(|&w| w));
+        assert_eq!(states, vec![1, 1, 1]);
+        assert!(!in_worker(), "the caller is unmarked once the region ends");
+    }
+
+    #[test]
+    fn serial_regions_leave_the_caller_unmarked() {
+        // Width 1 and a single item: the job runs on the unmarked caller,
+        // so a region opened inside it still fans out (the 1×1 grid level
+        // relies on this for its `features_for` fan-out).
+        let inner = |_: usize, _: &()| {
+            assert!(!in_worker());
+            with_threads(4, || par_map_collect(&[(); 8], |_, _| in_worker()))
+        };
+        for nested in [
+            with_threads(1, || par_map_collect(&[(); 3], inner)),
+            with_threads(4, || par_map_collect(&[()], inner)),
+        ] {
+            assert!(nested.iter().flatten().all(|&w| w));
+        }
+        let mut data = [0u32; 2];
+        let mut states = [false; 2];
+        let r: Result<(), ()> = with_threads(4, || {
+            par_try_parts_zip_mut(&mut data, &[2, 0], &mut states, |_, _, s| {
+                *s = in_worker();
+                Ok(())
+            })
+        });
+        assert!(r.is_ok());
+        assert_eq!(states, [false, false], "one non-empty part runs unmarked");
+        // Nested: a region inside a worker runs serially and adds no mark
+        // of its own on top of the outer job's.
+        let depths = with_threads(4, || {
+            par_map_collect(&[(); 4], |_, _| {
+                par_map_collect(&[(); 8], |_, _| WORKER_DEPTH.with(Cell::get))
+            })
+        });
+        assert!(depths.iter().flatten().all(|&d| d == 1), "{depths:?}");
     }
 
     #[test]
@@ -1068,16 +937,5 @@ mod tests {
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }
-    }
-
-    #[test]
-    fn scope_joins_spawned_threads() {
-        let counter = AtomicU32::new(0);
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| counter.fetch_add(1, Ordering::Relaxed));
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
     }
 }

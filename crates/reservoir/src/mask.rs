@@ -73,8 +73,8 @@ impl Mask {
         &self.matrix
     }
 
-    /// Mutable access to the mask matrix (used by the mask-training
-    /// extension in `dfr-core`).
+    /// Mutable access to the mask matrix (used by the mask-gradient checks
+    /// in `dfr-core`).
     pub fn matrix_mut(&mut self) -> &mut Matrix {
         &mut self.matrix
     }

@@ -134,7 +134,8 @@ impl<N: Nonlinearity> ModularDfr<N> {
         &self.mask
     }
 
-    /// Mutable access to the mask (mask-training extension).
+    /// Mutable access to the mask (the mask-gradient finite-difference
+    /// checks perturb single entries through it).
     pub fn mask_mut(&mut self) -> &mut Mask {
         &mut self.mask
     }
