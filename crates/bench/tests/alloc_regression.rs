@@ -148,8 +148,9 @@ fn sgd_step_is_allocation_free_after_warmup() {
 }
 
 /// The inference forward pass: the mask product packs into the
-/// workspace the cache's `ReservoirRun` owns, so a warm cache serves every
-/// later series of at most the warm-up length without allocating.
+/// workspace the cache's `ReservoirRun` owns and the DPRR product block
+/// into the cache's own, so a warm cache serves every later series of at
+/// most the warm-up length without allocating.
 #[test]
 fn forward_into_is_allocation_free_after_warmup() {
     dfr_pool::with_threads(1, || {
@@ -164,6 +165,27 @@ fn forward_into_is_allocation_free_after_warmup() {
         assert_eq!(
             allocs, 0,
             "post-warm-up forward passes must not allocate ({allocs} allocations in 100 passes)"
+        );
+    });
+}
+
+/// At the NET shape (`N_x` = 30, `T` = 993) the DPRR product block is
+/// above the GEMM banding threshold, yet it must run as one band on the
+/// calling thread: a pool fan-out would spawn, and so allocate, per pass.
+#[test]
+fn long_series_forward_stays_on_the_calling_thread() {
+    dfr_pool::with_threads(2, || {
+        let (model, series, _) = model_and_series(30, 993);
+        let mut cache = ForwardCache::empty();
+        model.forward_into(&series, &mut cache).expect("forward"); // warm-up
+        let (allocs, ()) = count_allocs(|| {
+            for _ in 0..10 {
+                model.forward_into(&series, &mut cache).expect("forward");
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "long-series forward passes must not allocate ({allocs} allocations in 10 passes)"
         );
     });
 }

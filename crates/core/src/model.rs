@@ -2,7 +2,7 @@
 
 use crate::CoreError;
 use dfr_linalg::activation::{cross_entropy, dense_bias_softmax_into};
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 use dfr_reservoir::mask::Mask;
 use dfr_reservoir::modular::{ModularDfr, ReservoirRun};
 use dfr_reservoir::nonlinearity::{Linear, Nonlinearity};
@@ -49,6 +49,8 @@ pub struct ForwardCache {
     pub logits: Vec<f64>,
     /// Softmax probabilities `y`.
     pub probs: Vec<f64>,
+    /// Packing buffers of the DPRR product block.
+    gemm: GemmWorkspace,
 }
 
 impl Default for ForwardCache {
@@ -68,6 +70,7 @@ impl ForwardCache {
             features: Vec::new(),
             logits: Vec::new(),
             probs: Vec::new(),
+            gemm: GemmWorkspace::new(),
         }
     }
 
@@ -230,7 +233,7 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     fn finish_forward(&self, cache: &mut ForwardCache) -> Result<(), CoreError> {
         let dim = Dprr.dim(cache.run.nodes());
         cache.features.resize(dim, 0.0);
-        Dprr.features_into(cache.run.states(), &mut cache.features);
+        Dprr.features_into(cache.run.states(), &mut cache.features, &mut cache.gemm);
         let scale = 1.0 / (cache.run.len().max(1) as f64);
         for f in &mut cache.features {
             *f *= scale;

@@ -597,7 +597,7 @@ proptest! {
 //
 // Rows come from the lane kernel (groups of four under the `avx2` kernel,
 // one sample at a time otherwise); the reference stores each run and
-// reduces it: `run_into` + `Dprr::features_into` + `1/T`. Every feature
+// reduces it: `run_into` + `Dprr::features` + `1/T`. Every feature
 // must match bit for bit and every error must be the reference's error of
 // the lowest failing index, at pool widths 1 and 2 and under both the
 // forced-scalar kernel (width 1) and the best detected one.
@@ -613,8 +613,7 @@ fn reference_features(
     let mut bits = Vec::new();
     for s in series {
         m.reservoir().run_into(s, &mut run)?;
-        let mut row = vec![0.0; m.feature_dim()];
-        Dprr.features_into(run.states(), &mut row);
+        let row = Dprr.features(run.states());
         let scale = 1.0 / (run.len().max(1) as f64);
         bits.extend(row.iter().map(|f| (f * scale).to_bits()));
     }

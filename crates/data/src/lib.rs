@@ -30,7 +30,6 @@ mod degenerate;
 mod drift;
 mod error;
 pub mod generator;
-pub mod narma;
 pub mod normalize;
 pub mod rng;
 mod spec;

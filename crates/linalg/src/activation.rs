@@ -107,8 +107,8 @@ pub fn dense_bias_softmax_into(
 /// tiled GEMM microkernel ([`crate::Matrix::matmul_t_into`]) instead of
 /// `n` separate matvecs — the batch amortises the packing of `w` across
 /// every row, and the product dispatches to whichever SIMD microkernel
-/// [`crate::kernels::active`] selects (scalar/SSE2/AVX2/NEON; all strict
-/// kernels produce the same bits). Per output element the accumulation is
+/// [`crate::kernels::active`] selects (scalar or AVX2; both produce the
+/// same bits). Per output element the accumulation is
 /// still a `k`-ascending dot followed by one bias add and the same stable
 /// softmax, so every row is **bitwise identical** to a per-sample
 /// [`dense_bias_softmax_into`] call on that row — under every kernel.

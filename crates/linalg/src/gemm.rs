@@ -45,10 +45,19 @@
 //! subtraction chain as the unblocked left-looking loop.
 //!
 //! The microkernel bodies themselves live in [`crate::kernels`]
-//! (`DESIGN.md` §13): a runtime-dispatched table of scalar, SSE2, AVX2
-//! and NEON implementations of the same `MR × NR` tile pass. The band
-//! drivers here take the selected [`Kernel`] as a parameter, so one
-//! resolution at product entry covers the whole parallel fan-out.
+//! (`DESIGN.md` §13): a runtime-dispatched table of scalar and AVX2
+//! implementations of the same `MR × NR` tile pass. The band drivers here
+//! take the selected [`Kernel`] as a parameter, so one resolution at
+//! product entry covers the whole parallel fan-out.
+//!
+//! # Consumers
+//!
+//! Every dense product of [`crate::Matrix`] packs through here, and so
+//! does the reservoir's DPRR product block `X[1..T]ᵀ·X[0..T−1]`
+//! ([`crate::Matrix::t_matmul_rows_into`], packed straight from two row
+//! ranges of the state history). That one runs as a single band on the
+//! calling thread: training calls it once per sample from a serial
+//! loop, where a banded fan-out would spawn a thread per sample.
 //!
 //! # Workspaces
 //!

@@ -2,23 +2,21 @@
 //!
 //! The register-tiled products of [`crate::gemm`] funnel every multiply-add
 //! through one `MR × NR` microkernel pair (accumulate / subtract). This
-//! module provides that pair in several instruction-set flavours and picks
-//! one **at runtime**:
+//! module provides that pair in two flavours and picks one **at runtime**:
 //!
-//! * `scalar` — the portable floor, plain Rust loops (always available).
-//! * `sse2` — 2-lane `__m128d` kernel (baseline on `x86_64`).
+//! * `scalar` — the portable floor, plain Rust loops (always available;
+//!   the fallback on hosts without AVX2 and on non-x86 targets).
 //! * `avx2` — 4-lane `__m256d` kernel (requires runtime AVX2 detection).
-//! * `neon` — 2-lane `float64x2_t` kernel (baseline on `aarch64`).
 //!
 //! # Bit-identity (the `DESIGN.md` §8 contract)
 //!
-//! Every kernel vectorises across the **m/n lanes of the tile**
+//! The AVX2 kernel vectorises across the **m/n lanes of the tile**
 //! only: lane `j` of a vector holds output element `(i, j)`, and one `k`
 //! step performs one vector multiply followed by one vector add — never a
 //! fused multiply-add. IEEE 754 arithmetic is correctly rounded per lane,
 //! so each output element sees exactly the scalar reference's operation
 //! sequence (`k` ascending, one `mul` + one `add` per step from `+0.0`)
-//! and every kernel is **bitwise identical** to `scalar`. That is
+//! and it is **bitwise identical** to `scalar`. That is
 //! why the whole §8 pinning apparatus — product property suites, the
 //! golden frozen-model digest, the serve loopback oracle — keeps holding
 //! for free no matter which kernel dispatch picks.
@@ -29,8 +27,8 @@
 //! override → the process default, computed once on first use from
 //! `DFR_KERNEL` (exact kernel, panicking loudly if unknown or unavailable
 //! — differential CI must not silently fall back) or, with no env var,
-//! the best detected kernel (`avx2` → `sse2` on x86-64, `neon` on aarch64,
-//! else `scalar`). Both pieces are the shared `dfr_pool::knob` helpers.
+//! the best detected kernel (`avx2` when detected, else `scalar`). Both
+//! pieces are the shared `dfr_pool::knob` helpers.
 //!
 //! Products resolve their kernel **once at entry on the calling thread**
 //! and carry it into their parallel bands, so a [`with_kernel`] scope
@@ -59,32 +57,21 @@ pub type MicroKernelFn = fn(&[f64], &[f64], &mut [[f64; NR]; MR]);
 /// Identifies one entry of the kernel table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Portable scalar loops — the reference every other kernel must match.
+    /// Portable scalar loops — the reference the AVX2 kernel must match.
     Scalar,
-    /// 2-lane SSE2 kernel (`x86_64` baseline).
-    Sse2,
     /// 4-lane AVX2 kernel (runtime-detected).
     Avx2,
-    /// 2-lane NEON kernel (`aarch64` baseline).
-    Neon,
 }
 
 impl KernelKind {
     /// Every kind.
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Scalar,
-        KernelKind::Sse2,
-        KernelKind::Avx2,
-        KernelKind::Neon,
-    ];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Avx2];
 
     /// The `DFR_KERNEL` spelling of this kind.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
-            KernelKind::Neon => "neon",
         }
     }
 
@@ -118,12 +105,11 @@ impl Kernel {
     }
 
     /// The lane width [`Kernel::run_lanes`] instantiates: 4 under `avx2`
-    /// (one `__m256d` per four `f64` lanes), 1 under every other kernel
-    /// — under plain SSE2 a 4-lane form measured slower than one lane.
+    /// (one `__m256d` per four `f64` lanes), 1 under `scalar`.
     pub fn lanes(&self) -> usize {
         match self.kind {
             KernelKind::Avx2 => 4,
-            _ => 1,
+            KernelKind::Scalar => 1,
         }
     }
 
@@ -201,7 +187,7 @@ pub(crate) fn scalar_mul_sub(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; 
 /// Checks the packed-panel invariant the raw-pointer kernels rely on and
 /// returns the shared `k` depth: `a_panel` holds `k` steps of `MR` lanes,
 /// `b_panel` `k` steps of `NR` lanes.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 fn panel_depth(a_panel: &[f64], b_panel: &[f64]) -> usize {
     let k = a_panel.len() / MR;
     assert!(
@@ -332,74 +318,6 @@ mod x86 {
         _mm256_storeu_pd(p.add(24), c30);
         _mm256_storeu_pd(p.add(28), c31);
     }
-
-    /// SSE2 tile, one output row at a time: row `i` holds four `__m128d`
-    /// accumulators (nine live xmm registers per pass, within the 16 the
-    /// ISA offers), re-streaming the B panel per row from L1. Separate
-    /// `_mm_mul_pd` + `_mm_add_pd`, so per-element rounding matches
-    /// scalar. SSE2 is baseline on `x86_64` — always available.
-    ///
-    /// # Safety
-    ///
-    /// SSE2 is part of the `x86_64` baseline; the intrinsics themselves
-    /// impose no extra requirement beyond the panel invariants checked by
-    /// `panel_depth`.
-    pub(super) unsafe fn sse2_mul_add(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-        let k = panel_depth(a_panel, b_panel);
-        for (row, accr) in acc.iter_mut().enumerate() {
-            let p = accr.as_mut_ptr();
-            let mut c0 = _mm_loadu_pd(p);
-            let mut c1 = _mm_loadu_pd(p.add(2));
-            let mut c2 = _mm_loadu_pd(p.add(4));
-            let mut c3 = _mm_loadu_pd(p.add(6));
-            let mut ap = a_panel.as_ptr().add(row);
-            let mut bp = b_panel.as_ptr();
-            for _ in 0..k {
-                let a = _mm_set1_pd(*ap);
-                c0 = _mm_add_pd(c0, _mm_mul_pd(a, _mm_loadu_pd(bp)));
-                c1 = _mm_add_pd(c1, _mm_mul_pd(a, _mm_loadu_pd(bp.add(2))));
-                c2 = _mm_add_pd(c2, _mm_mul_pd(a, _mm_loadu_pd(bp.add(4))));
-                c3 = _mm_add_pd(c3, _mm_mul_pd(a, _mm_loadu_pd(bp.add(6))));
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            _mm_storeu_pd(p, c0);
-            _mm_storeu_pd(p.add(2), c1);
-            _mm_storeu_pd(p.add(4), c2);
-            _mm_storeu_pd(p.add(6), c3);
-        }
-    }
-
-    /// SSE2 subtractive tile (see [`sse2_mul_add`]).
-    ///
-    /// # Safety
-    ///
-    /// Same as [`sse2_mul_add`].
-    pub(super) unsafe fn sse2_mul_sub(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-        let k = panel_depth(a_panel, b_panel);
-        for (row, accr) in acc.iter_mut().enumerate() {
-            let p = accr.as_mut_ptr();
-            let mut c0 = _mm_loadu_pd(p);
-            let mut c1 = _mm_loadu_pd(p.add(2));
-            let mut c2 = _mm_loadu_pd(p.add(4));
-            let mut c3 = _mm_loadu_pd(p.add(6));
-            let mut ap = a_panel.as_ptr().add(row);
-            let mut bp = b_panel.as_ptr();
-            for _ in 0..k {
-                let a = _mm_set1_pd(*ap);
-                c0 = _mm_sub_pd(c0, _mm_mul_pd(a, _mm_loadu_pd(bp)));
-                c1 = _mm_sub_pd(c1, _mm_mul_pd(a, _mm_loadu_pd(bp.add(2))));
-                c2 = _mm_sub_pd(c2, _mm_mul_pd(a, _mm_loadu_pd(bp.add(4))));
-                c3 = _mm_sub_pd(c3, _mm_mul_pd(a, _mm_loadu_pd(bp.add(6))));
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            _mm_storeu_pd(p, c0);
-            _mm_storeu_pd(p.add(2), c1);
-            _mm_storeu_pd(p.add(4), c2);
-            _mm_storeu_pd(p.add(6), c3);
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -407,17 +325,6 @@ mod x86_entry {
     //! Safe entry points: the only callers of the `unsafe` kernels above.
 
     use super::{x86, MR, NR};
-
-    pub(super) fn sse2_mul_add(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline; panel lengths are
-        // checked inside.
-        unsafe { x86::sse2_mul_add(a, b, acc) }
-    }
-
-    pub(super) fn sse2_mul_sub(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: as above.
-        unsafe { x86::sse2_mul_sub(a, b, acc) }
-    }
 
     pub(super) fn avx2_mul_add(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
         // SAFETY: the dispatch table only exposes the AVX2 kernel after
@@ -440,138 +347,6 @@ mod x86_entry {
 }
 
 // ---------------------------------------------------------------------------
-// aarch64 kernels.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    use super::{panel_depth, MR, NR};
-    use std::arch::aarch64::*;
-
-    /// NEON multiply-add tile: the 4×8 accumulator lives in sixteen
-    /// `float64x2_t` registers (four per row, all resident in the 32-reg
-    /// file); each `k` step broadcasts the four A lanes, loads the eight B
-    /// lanes, and issues one `vmulq_f64` + one `vaddq_f64` per accumulator
-    /// — never `vfmaq`, so per-element rounding matches scalar bit for
-    /// bit. NEON is baseline on `aarch64`.
-    ///
-    /// # Safety
-    ///
-    /// NEON is part of the `aarch64` baseline; panel invariants are
-    /// checked by `panel_depth`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_mul_add(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-        let k = panel_depth(a_panel, b_panel);
-        let p = acc.as_mut_ptr() as *mut f64;
-        let mut c: [float64x2_t; 16] = [
-            vld1q_f64(p),
-            vld1q_f64(p.add(2)),
-            vld1q_f64(p.add(4)),
-            vld1q_f64(p.add(6)),
-            vld1q_f64(p.add(8)),
-            vld1q_f64(p.add(10)),
-            vld1q_f64(p.add(12)),
-            vld1q_f64(p.add(14)),
-            vld1q_f64(p.add(16)),
-            vld1q_f64(p.add(18)),
-            vld1q_f64(p.add(20)),
-            vld1q_f64(p.add(22)),
-            vld1q_f64(p.add(24)),
-            vld1q_f64(p.add(26)),
-            vld1q_f64(p.add(28)),
-            vld1q_f64(p.add(30)),
-        ];
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..k {
-            let b0 = vld1q_f64(bp);
-            let b1 = vld1q_f64(bp.add(2));
-            let b2 = vld1q_f64(bp.add(4));
-            let b3 = vld1q_f64(bp.add(6));
-            for row in 0..MR {
-                let a = vdupq_n_f64(*ap.add(row));
-                c[row * 4] = vaddq_f64(c[row * 4], vmulq_f64(a, b0));
-                c[row * 4 + 1] = vaddq_f64(c[row * 4 + 1], vmulq_f64(a, b1));
-                c[row * 4 + 2] = vaddq_f64(c[row * 4 + 2], vmulq_f64(a, b2));
-                c[row * 4 + 3] = vaddq_f64(c[row * 4 + 3], vmulq_f64(a, b3));
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (i, v) in c.into_iter().enumerate() {
-            vst1q_f64(p.add(i * 2), v);
-        }
-    }
-
-    /// NEON subtractive tile (`vsubq_f64` epilogue; see [`neon_mul_add`]).
-    ///
-    /// # Safety
-    ///
-    /// Same as [`neon_mul_add`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_mul_sub(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-        let k = panel_depth(a_panel, b_panel);
-        let p = acc.as_mut_ptr() as *mut f64;
-        let mut c: [float64x2_t; 16] = [
-            vld1q_f64(p),
-            vld1q_f64(p.add(2)),
-            vld1q_f64(p.add(4)),
-            vld1q_f64(p.add(6)),
-            vld1q_f64(p.add(8)),
-            vld1q_f64(p.add(10)),
-            vld1q_f64(p.add(12)),
-            vld1q_f64(p.add(14)),
-            vld1q_f64(p.add(16)),
-            vld1q_f64(p.add(18)),
-            vld1q_f64(p.add(20)),
-            vld1q_f64(p.add(22)),
-            vld1q_f64(p.add(24)),
-            vld1q_f64(p.add(26)),
-            vld1q_f64(p.add(28)),
-            vld1q_f64(p.add(30)),
-        ];
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..k {
-            let b0 = vld1q_f64(bp);
-            let b1 = vld1q_f64(bp.add(2));
-            let b2 = vld1q_f64(bp.add(4));
-            let b3 = vld1q_f64(bp.add(6));
-            for row in 0..MR {
-                let a = vdupq_n_f64(*ap.add(row));
-                c[row * 4] = vsubq_f64(c[row * 4], vmulq_f64(a, b0));
-                c[row * 4 + 1] = vsubq_f64(c[row * 4 + 1], vmulq_f64(a, b1));
-                c[row * 4 + 2] = vsubq_f64(c[row * 4 + 2], vmulq_f64(a, b2));
-                c[row * 4 + 3] = vsubq_f64(c[row * 4 + 3], vmulq_f64(a, b3));
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (i, v) in c.into_iter().enumerate() {
-            vst1q_f64(p.add(i * 2), v);
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod arm_entry {
-    //! Safe entry points: the only callers of the `unsafe` kernels above.
-
-    use super::{arm, MR, NR};
-
-    pub(super) fn neon_mul_add(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: NEON is part of the aarch64 baseline; panel lengths are
-        // checked inside.
-        unsafe { arm::neon_mul_add(a, b, acc) }
-    }
-
-    pub(super) fn neon_mul_sub(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-        // SAFETY: as above.
-        unsafe { arm::neon_mul_sub(a, b, acc) }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The dispatch table.
 // ---------------------------------------------------------------------------
 
@@ -582,24 +357,10 @@ static SCALAR: Kernel = Kernel {
 };
 
 #[cfg(target_arch = "x86_64")]
-static SSE2: Kernel = Kernel {
-    kind: KernelKind::Sse2,
-    mul_add: x86_entry::sse2_mul_add,
-    mul_sub: x86_entry::sse2_mul_sub,
-};
-
-#[cfg(target_arch = "x86_64")]
 static AVX2: Kernel = Kernel {
     kind: KernelKind::Avx2,
     mul_add: x86_entry::avx2_mul_add,
     mul_sub: x86_entry::avx2_mul_sub,
-};
-
-#[cfg(target_arch = "aarch64")]
-static NEON: Kernel = Kernel {
-    kind: KernelKind::Neon,
-    mul_add: arm_entry::neon_mul_add,
-    mul_sub: arm_entry::neon_mul_sub,
 };
 
 /// Looks a kernel up by kind, returning `None` when it is not compiled
@@ -610,24 +371,16 @@ pub fn kernel(kind: KernelKind) -> Option<&'static Kernel> {
     match kind {
         KernelKind::Scalar => Some(&SCALAR),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Sse2 => Some(&SSE2),
-        #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2 => is_x86_feature_detected!("avx2").then_some(&AVX2),
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => Some(&NEON),
-        _ => None,
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelKind::Avx2 => None,
     }
 }
 
 /// Every kernel available on this host and build, best first. The first
 /// entry is what detection-based dispatch selects.
 pub fn available() -> Vec<&'static Kernel> {
-    let order = [
-        KernelKind::Avx2,
-        KernelKind::Neon,
-        KernelKind::Sse2,
-        KernelKind::Scalar,
-    ];
+    let order = [KernelKind::Avx2, KernelKind::Scalar];
     order.into_iter().filter_map(kernel).collect()
 }
 
@@ -811,7 +564,7 @@ mod tests {
         let kind = |raw| kernel_from_env(Some(raw)).map(Kernel::kind);
         assert_eq!(kind(" scalar\t"), Some(KernelKind::Scalar));
         assert_eq!(kind("SCALAR"), Some(KernelKind::Scalar));
-        for bad in ["avx512", "avx2-fma", "scalar-fma"] {
+        for bad in ["avx512", "avx2-fma", "scalar-fma", "sse2", "neon"] {
             let err = std::panic::catch_unwind(|| kernel_from_env(Some(bad)))
                 .expect_err(bad)
                 .downcast::<String>()

@@ -9,10 +9,10 @@
 //!   every dense product routes through (see `DESIGN.md` §10). Each
 //!   product has an allocating form and one `_into` form that packs into
 //!   a caller-owned [`GemmWorkspace`] (e.g. [`Matrix::matmul_into`]).
-//! * [`kernels`] — runtime-dispatched SIMD microkernels (AVX2/SSE2/NEON
-//!   with a scalar floor, `DESIGN.md` §13): every kernel is bitwise
-//!   identical to scalar, selected once per process and overridable via
-//!   `DFR_KERNEL` / [`kernels::with_kernel`].
+//! * [`kernels`] — the runtime-dispatched microkernel table (AVX2 with a
+//!   scalar floor, `DESIGN.md` §13): AVX2 is bitwise identical to scalar,
+//!   selected once per process and overridable via `DFR_KERNEL` /
+//!   [`kernels::with_kernel`].
 //! * [`cholesky`] — blocked Cholesky factorisation and solves for
 //!   symmetric positive-definite systems, used by the ridge-regression
 //!   readout, plus a cheap 1-norm reciprocal-condition estimate.

@@ -2,7 +2,7 @@ use crate::gemm::{self, GemmWorkspace, MR};
 use crate::kernels::{self, Kernel};
 use crate::LinalgError;
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Range, Sub};
 
 /// Column-block width of [`Matrix::norm_1`]: one block of running column
 /// sums lives on the stack while the rows stream past.
@@ -306,6 +306,42 @@ impl Matrix {
         gemm::pack_b(b_pack, n, k, |kk, j| rhs.data[kk * n + j]);
         drive_bands(out, k, a_pack, b_pack, m * k * n, kernel);
         Ok(())
+    }
+
+    /// `self[a_rows]ᵀ · self[b_rows]`: the [`Matrix::t_matmul`] of two
+    /// equal-length row ranges of one matrix, packed straight from the
+    /// ranges (neither is copied) into `ws`, and written row-major into the
+    /// `cols × cols` slice `out`. Bitwise equal to `t_matmul` of the copied
+    /// ranges.
+    ///
+    /// Runs as one band on the calling thread at every size: training
+    /// calls it once per sample from a serial loop, where a banded fan-out
+    /// would spawn a thread per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ranges differ in length or end past `self.rows()`, or
+    /// if `out.len() != self.cols()²`.
+    pub fn t_matmul_rows_into(
+        &self,
+        a_rows: Range<usize>,
+        b_rows: Range<usize>,
+        out: &mut [f64],
+        ws: &mut GemmWorkspace,
+    ) {
+        let n = self.cols;
+        let k = a_rows.len();
+        assert!(
+            b_rows.len() == k && a_rows.end.max(b_rows.end) <= self.rows,
+            "row ranges {a_rows:?} and {b_rows:?} of a {}-row matrix",
+            self.rows
+        );
+        assert_eq!(out.len(), n * n, "output slice has wrong length");
+        let (a0, b0) = (a_rows.start, b_rows.start);
+        let GemmWorkspace { a_pack, b_pack } = ws;
+        gemm::pack_a(a_pack, n, k, |i, kk| self.data[(a0 + kk) * n + i]);
+        gemm::pack_b(b_pack, n, k, |kk, j| self.data[(b0 + kk) * n + j]);
+        gemm::gemm_band(out, n, n, k, a_pack, b_pack, kernels::active());
     }
 
     /// Product of `self` with `rhsᵀ` without materialising the transpose.
@@ -1098,6 +1134,16 @@ mod tests {
         assert_eq!(out, a.gram());
         a.gram_t_into(&mut out, &mut ws);
         assert_eq!(out, a.gram_t());
+
+        // Row ranges of one matrix: rows 2..7 against rows 0..5 of an
+        // 8 × 9 matrix (edge tiles in both dimensions).
+        let x = Matrix::from_vec(8, 9, (0..72).map(|v| (v as f64 * 0.37).sin()).collect()).unwrap();
+        let rows = |r: std::ops::Range<usize>| {
+            Matrix::from_vec(r.len(), 9, x.as_slice()[r.start * 9..r.end * 9].to_vec()).unwrap()
+        };
+        let mut flat = vec![f64::NAN; 81];
+        x.t_matmul_rows_into(2..7, 0..5, &mut flat, &mut ws);
+        assert_eq!(flat, rows(2..7).t_matmul(&rows(0..5)).unwrap().as_slice());
 
         let mut v2 = vec![1.0; 2];
         a.matvec_into(&[1.0, 0.0, 1.0], &mut v2).unwrap();

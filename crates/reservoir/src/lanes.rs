@@ -41,8 +41,8 @@
 //! product terms are `±0.0`, and adding `±0.0` to an accumulator that
 //! starts at `+0.0` changes no bit: such an accumulator can never become
 //! `−0.0` (round-to-nearest gives `x + (−x) = +0.0`), and states are
-//! finite. [`Dprr::features_into`] relies on the same fact, so neither
-//! path skips zero rows.
+//! finite. The same fact lets [`Dprr::features_into`] leave step 0 out of
+//! its product block, so the two paths agree bit for bit.
 //!
 //! Under the `avx2` kernel `dfr_linalg::kernels::Kernel::run_lanes`
 //! compiles this code with four lanes in one `__m256d`; the crate itself

@@ -4,8 +4,8 @@
 //! one-output function `f`, chosen so that "derivatives can be efficiently
 //! obtained" (paper contribution 1). The paper's evaluation uses the
 //! identity `f(z) = z` (with the gain `A` applied outside, Eq. 13); the
-//! Mackey–Glass fraction, `tanh` and `sin` are provided for the NL-design
-//! space the modular-DFR paper explores.
+//! Mackey–Glass fraction and `tanh` are provided for the NL-design space
+//! the modular-DFR paper explores.
 
 use std::fmt::Debug;
 
@@ -121,25 +121,6 @@ impl Nonlinearity for Tanh {
     }
 }
 
-/// Sine `f(z) = sin(z)` — used in optoelectronic DFR implementations
-/// (Larger et al. 2012).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Sin;
-
-impl Nonlinearity for Sin {
-    fn eval(&self, z: f64) -> f64 {
-        z.sin()
-    }
-
-    fn derivative(&self, z: f64) -> f64 {
-        z.cos()
-    }
-
-    fn name(&self) -> &'static str {
-        "sin"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,11 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn sin_derivative() {
-        check_derivative(&Sin, &[-3.0, -1.0, 0.0, 0.5, 2.0]);
-    }
-
-    #[test]
     fn mackey_glass_derivative_various_p() {
         for p in [1, 2, 3, 7] {
             let mg = MackeyGlass::new(p);
@@ -210,7 +186,6 @@ mod tests {
         assert_eq!(Linear.name(), "linear");
         assert_eq!(MackeyGlass::default().name(), "mackey-glass");
         assert_eq!(Tanh.name(), "tanh");
-        assert_eq!(Sin.name(), "sin");
     }
 
     #[test]
@@ -219,7 +194,6 @@ mod tests {
             Box::new(Linear),
             Box::new(MackeyGlass::new(2)),
             Box::new(Tanh),
-            Box::new(Sin),
         ];
         for nl in &nls {
             assert!(nl.eval(0.5).is_finite());

@@ -6,7 +6,7 @@
 //! dot-product reservoir representation, the best known trade-off of
 //! accuracy and circuit size.
 
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 
 /// The dot-product reservoir representation (paper Eqs. 10–11, 18–19).
 ///
@@ -46,126 +46,48 @@ impl Dprr {
     }
 
     /// Convenience wrapper around [`Dprr::features_into`] allocating the
-    /// output vector.
+    /// output vector and the packing workspace.
     pub fn features(&self, states: &Matrix) -> Vec<f64> {
         let mut out = vec![0.0; self.dim(states.cols())];
-        self.features_into(states, &mut out);
+        self.features_into(states, &mut out, &mut GemmWorkspace::new());
         out
     }
 
-    /// Writes the features of the `T × N_x` history `states` into `out`.
+    /// Writes the features of the `T × N_x` history `states` into `out`,
+    /// packing the product block into the caller-owned `ws`.
+    ///
+    /// The product block (Eq. 10 / 18) is the packed GEMM
+    /// `X[1..T]ᵀ·X[0..T−1]` ([`Matrix::t_matmul_rows_into`]): each element
+    /// sums its terms in ascending `k` from `+0.0`, one multiply and one add
+    /// per step. Step 0's terms against `x(−1) ≡ 0` are left out; they are
+    /// `±0.0`, and adding them to an accumulator that starts at `+0.0`
+    /// changes no bit (states are finite), so this equals the per-step sum
+    /// the lane kernel folds. The bias block (Eq. 11 / 19) is the column
+    /// sums, also in ascending `k`.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.dim(states.cols())`.
-    pub fn features_into(&self, states: &Matrix, out: &mut [f64]) {
+    pub fn features_into(&self, states: &Matrix, out: &mut [f64], ws: &mut GemmWorkspace) {
         let nx = states.cols();
         let t_len = states.rows();
         assert_eq!(out.len(), self.dim(nx), "output buffer has wrong length");
-        out.fill(0.0);
         let (products, sums) = out.split_at_mut(nx * nx);
-        let flat = states.as_slice();
-
-        // The product block (Eq. 10 / 18) is the rank-1 accumulation
-        // `products += x(k) ⊗ x(k−1)` over all steps (`x(−1) ≡ 0`), and its
-        // cost is dominated by re-reading and re-writing the `N_x²`
-        // accumulator once per step. Processing FOUR steps per sweep keeps
-        // the accumulator element in a register across the four
-        // contributions — ~4× less accumulator traffic — while each element
-        // still receives its contributions one `+=` at a time in strictly
-        // ascending `k`, so the result is bitwise identical to the
-        // one-step-at-a-time loop. The bias block (Eq. 11 / 19) is fused
-        // the same way. Rows with `x(k)_i = 0` are not skipped: their terms
-        // are `±0.0`, and an accumulator that starts at `+0.0` can never
-        // become `−0.0`, so adding them changes no bit (states are finite).
-        let mut k = 0;
-        if t_len > 0 {
-            // Step 0 contributes only to the bias block.
-            for (s, &xi) in sums.iter_mut().zip(&flat[..nx]) {
-                *s += xi;
-            }
-            k = 1;
-        }
-        while k + 4 <= t_len {
-            let window = &flat[(k - 1) * nx..(k + 4) * nx];
-            let (x0, c_rows) = window.split_at(nx); // x(k−1), then x(k)..x(k+3)
-            for (i, row) in products.chunks_exact_mut(nx).enumerate() {
-                rank4(
-                    row,
-                    x0,
-                    c_rows[i],
-                    &c_rows[..nx],
-                    c_rows[nx + i],
-                    &c_rows[nx..2 * nx],
-                    c_rows[2 * nx + i],
-                    &c_rows[2 * nx..3 * nx],
-                    c_rows[3 * nx + i],
-                );
-            }
-            for (i, s) in sums.iter_mut().enumerate() {
-                let mut v = *s;
-                v += c_rows[i];
-                v += c_rows[nx + i];
-                v += c_rows[2 * nx + i];
-                v += c_rows[3 * nx + i];
-                *s = v;
-            }
-            k += 4;
-        }
-        while k < t_len {
-            let x_k = &flat[k * nx..(k + 1) * nx];
+        let pairs = t_len.saturating_sub(1); // steps with a predecessor
+        states.t_matmul_rows_into(t_len - pairs..t_len, 0..pairs, products, ws);
+        sums.fill(0.0);
+        for x_k in states.as_slice().chunks_exact(nx.max(1)) {
             for (s, &xi) in sums.iter_mut().zip(x_k) {
                 *s += xi;
             }
-            let x_prev = &flat[(k - 1) * nx..k * nx];
-            for (row, &xi) in products.chunks_exact_mut(nx).zip(x_k) {
-                rank1(row, x_prev, xi);
-            }
-            k += 1;
         }
-    }
-}
-
-/// Accumulates `row += c · x` one element-`+=` at a time.
-#[inline]
-fn rank1(row: &mut [f64], x: &[f64], c: f64) {
-    for (r, &xj) in row.iter_mut().zip(x) {
-        *r += c * xj;
-    }
-}
-
-/// Accumulates four rank-1 contributions in one sweep, keeping each
-/// accumulator element in a register across the four `+=` operations (the
-/// additions stay separate and ordered — no reassociation, so results are
-/// bitwise identical to four [`rank1`] calls).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn rank4(
-    row: &mut [f64],
-    x0: &[f64],
-    c0: f64,
-    x1: &[f64],
-    c1: f64,
-    x2: &[f64],
-    c2: f64,
-    x3: &[f64],
-    c3: f64,
-) {
-    let n = row.len();
-    let (x0, x1, x2, x3) = (&x0[..n], &x1[..n], &x2[..n], &x3[..n]);
-    for j in 0..n {
-        let mut v = row[j];
-        v += c0 * x0[j];
-        v += c1 * x1[j];
-        v += c2 * x2[j];
-        v += c3 * x3[j];
-        row[j] = v;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfr_linalg::kernels::{available, with_kernel};
 
     fn states() -> Matrix {
         Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5], &[-0.5, 3.0]]).unwrap()
@@ -195,14 +117,31 @@ mod tests {
         r
     }
 
+    /// Bitwise against the reference under every kernel, over shapes that
+    /// are not multiples of the `MR × NR` register tile (padded edge tiles)
+    /// and over `T ∈ {0, 1}`, where no step has a predecessor. One stale,
+    /// NaN-filled output buffer and one workspace are recycled throughout.
     #[test]
     fn dprr_matches_reference() {
-        let s = states();
-        let fast = Dprr.features(&s);
-        let slow = dprr_reference(&s);
-        assert_eq!(fast.len(), slow.len());
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() < 1e-12);
+        let mut ws = GemmWorkspace::new();
+        for kern in available() {
+            for nx in [1, 2, 5, 9, 30] {
+                for t_len in [0, 1, 2, 3, 5, 37] {
+                    let data = (0..t_len * nx).map(|v| (v as f64 * 0.61).sin() - 0.2);
+                    let s = Matrix::from_vec(t_len, nx, data.collect()).unwrap();
+                    let mut got = vec![f64::NAN; Dprr.dim(nx)];
+                    with_kernel(kern.kind(), || Dprr.features_into(&s, &mut got, &mut ws));
+                    let want = dprr_reference(&s);
+                    for (idx, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} N_x={nx} T={t_len} r[{idx}]: {a} vs {b}",
+                            kern.name()
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -247,6 +186,6 @@ mod tests {
     #[should_panic(expected = "wrong length")]
     fn wrong_buffer_panics() {
         let mut buf = vec![0.0; 3];
-        Dprr.features_into(&states(), &mut buf);
+        Dprr.features_into(&states(), &mut buf, &mut GemmWorkspace::new());
     }
 }
